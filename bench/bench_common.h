@@ -15,28 +15,23 @@
 #include "core/hios.h"
 #include "util/stats.h"
 #include "util/table.h"
-#include "util/thread_pool.h"
 
 namespace hios::bench {
 
-// --- shared --threads flag ------------------------------------------------
-// Every bench accepts --threads N to size the scheduler thread pool
-// (util::global_pool()); 0 or unset defers to the HIOS_NUM_THREADS
-// environment variable, then hardware_concurrency. Schedules and latencies
-// are bit-identical for every value — only wall-clock scheduling cost
-// changes — so golden baselines are thread-count independent.
-
-inline void add_threads_flag(ArgParser& args) {
-  args.add_flag("threads", "0",
-                "scheduler pool lanes (0 = HIOS_NUM_THREADS, then hardware)");
-}
-
-/// Applies --threads to the global pool and returns the effective lane
-/// count — record it in every machine-readable (--json) blob so perf
-/// numbers are attributable.
-inline int apply_threads_flag(const ArgParser& args) {
-  util::set_global_threads(static_cast<int>(args.get_int("threads")));
-  return util::global_pool().num_threads();
+/// Parses argv, exiting the process on a malformed flag: the error and the
+/// usage go to stderr and the exit status is 2. `read` pulls the parsed
+/// values out, so a bad value (e.g. --smoke=maybe) takes the same path.
+/// Returns false when --help was printed (main should return 0).
+template <typename ReadFn>
+bool parse_flags_or_exit(ArgParser& args, int argc, char** argv, ReadFn&& read) {
+  try {
+    if (!args.parse(argc, argv)) return false;
+    read();
+    return true;
+  } catch (const Error& e) {
+    std::fprintf(stderr, "error: %s\n\n%s", e.what(), args.usage().c_str());
+    std::exit(2);
+  }
 }
 
 /// Number of random instances per data point. The paper averages 30 runs;
@@ -92,7 +87,6 @@ inline std::string mean_std(const RunningStats& s, int precision = 1) {
 struct BenchArgs {
   bool smoke = false;
   bool help = false;           ///< --help was printed; main should return 0
-  int threads = 1;             ///< effective pool lanes (after --threads)
   std::string golden_write;
   std::string golden_check;
   Json golden = Json::object();
@@ -107,17 +101,13 @@ inline BenchArgs parse_bench_args(int argc, char** argv, const std::string& desc
   args.add_flag("smoke", "false", "reduced deterministic sweep (golden/CI regime)")
       .add_flag("golden-write", "", "write the golden JSON baseline to this path")
       .add_flag("golden-check", "", "recompute and bit-compare against this golden");
-  add_threads_flag(args);
   BenchArgs out;
-  if (!args.parse(argc, argv)) {
-    out.help = true;
-    return out;
-  }
-  out.smoke = args.get_bool("smoke");
-  out.golden_write = args.get("golden-write");
-  out.golden_check = args.get("golden-check");
+  out.help = !parse_flags_or_exit(args, argc, argv, [&] {
+    out.smoke = args.get_bool("smoke");
+    out.golden_write = args.get("golden-write");
+    out.golden_check = args.get("golden-check");
+  });
   if (!out.golden_write.empty() || !out.golden_check.empty()) out.smoke = true;
-  out.threads = apply_threads_flag(args);
   return out;
 }
 

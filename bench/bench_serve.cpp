@@ -17,12 +17,14 @@
 //      throughput, and no request may pay a cold reschedule (plan-pool
 //      misses == 0).
 // Flags: --smoke (fewer requests), --assert (exit 1 when a gate fails),
-//        --json P (write the phase/throughput report as JSON to P).
+//        --json P (write the phase/throughput report as JSON to P),
+//        --threads N (pool lanes for the prewarm builds; 0 = default).
 #include <chrono>
 #include <fstream>
 
 #include "bench_common.h"
 #include "serve/server.h"
+#include "util/thread_pool.h"
 
 using namespace hios;
 
@@ -312,21 +314,28 @@ int main(int argc, char** argv) {
                  "and degraded-mode recovery");
   args.add_flag("smoke", "false", "fewer requests (CI regime)")
       .add_flag("assert", "false", "exit 1 when an acceptance gate fails")
-      .add_flag("json", "", "write the phase/throughput report as JSON to this path");
-  bench::add_threads_flag(args);
-  if (!args.parse(argc, argv)) return 0;
-  const bool smoke = args.get_bool("smoke");
-  const bool enforce = args.get_bool("assert");
-  const int threads = bench::apply_threads_flag(args);
+      .add_flag("json", "", "write the phase/throughput report as JSON to this path")
+      .add_flag("threads", "0",
+                "plan-prewarm pool lanes (0 = HIOS_NUM_THREADS, then hardware)");
+  bool smoke = false, enforce = false;
+  std::string json_path;
+  int threads = 0;
+  if (!bench::parse_flags_or_exit(args, argc, argv, [&] {
+        smoke = args.get_bool("smoke");
+        enforce = args.get_bool("assert");
+        json_path = args.get("json");
+        threads = static_cast<int>(args.get_int("threads"));
+      }))
+    return 0;
+  util::set_global_threads(threads);
 
   Json doc = Json::object();
-  doc["threads"] = threads;
+  doc["threads"] = util::global_pool().num_threads();
   bool ok = throughput_scaling(smoke ? 64 : 256, enforce);
   ok = cache_cost(enforce) && ok;
   ok = prewarm_cost(enforce, doc) && ok;
   ok = degraded_recovery(smoke ? 96 : 256, enforce, doc) && ok;
 
-  const std::string json_path = args.get("json");
   if (!json_path.empty()) {
     std::ofstream f(json_path);
     HIOS_CHECK(f.good(), "cannot open --json path " << json_path);

@@ -21,7 +21,8 @@
 namespace hios::core {
 
 /// Decorator counting the distinct (stage -> time) measurements a
-/// profile-based scheduler would perform against this cost model.
+/// profile-based scheduler would perform against this cost model. Not
+/// synchronised: use one instance from one thread, e.g. one schedule() call.
 class CountingCostModel final : public cost::CostModel {
  public:
   explicit CountingCostModel(const cost::CostModel& inner) : inner_(inner) {}

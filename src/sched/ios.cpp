@@ -9,7 +9,6 @@
 #include "graph/compiled_graph.h"
 #include "sched/evaluate.h"
 #include "util/bitset.h"
-#include "util/thread_pool.h"
 
 namespace hios::sched {
 
@@ -24,8 +23,9 @@ struct State {
 };
 
 /// One DP transition produced by expanding a state: append `stage`, pay
-/// `t_stage`. Buffered per expanded state so the frontier of a bucket can
-/// be generated concurrently and merged serially in rank order.
+/// `t_stage`. A state's transitions are generated into a buffer before any
+/// is merged, because merging appends to `states` and would invalidate the
+/// `done` reference the expansion reads.
 struct Candidate {
   std::vector<graph::NodeId> stage;
   double t_stage = 0.0;
@@ -72,11 +72,7 @@ ScheduleResult IosScheduler::schedule(const graph::Graph& g, const cost::CostMod
   const std::size_t beam = static_cast<std::size_t>(std::max(1, config.ios_beam_width));
 
   // Generates every DP transition out of the state `sid` into `out`, in the
-  // deterministic subset-enumeration order. Reads states[sid].done and the
-  // shared predecessor masks only, and queries the (thread-safe) stage-time
-  // cache — expansions of the same bucket never interact, since appending a
-  // non-empty stage always lands in a strictly larger down-set size, so
-  // they can run concurrently (DESIGN.md §6g).
+  // deterministic subset-enumeration order.
   auto expand_state = [&](int sid, std::vector<Candidate>& out) {
     out.clear();
     // Ready frontier of this state (all preds done, itself not done).
@@ -113,8 +109,7 @@ ScheduleResult IosScheduler::schedule(const graph::Graph& g, const cost::CostMod
     recurse(recurse, 0);
   };
 
-  // Applies one buffered transition to the DP table, exactly as the
-  // sequential loop would at this point.
+  // Applies one buffered transition to the DP table.
   auto merge_candidate = [&](int sid, const Candidate& cand) {
     const double latency = states[static_cast<std::size_t>(sid)].latency + cand.t_stage;
     DynBitset next_done = states[static_cast<std::size_t>(sid)].done;
@@ -136,9 +131,7 @@ ScheduleResult IosScheduler::schedule(const graph::Graph& g, const cost::CostMod
     }
   };
 
-  util::ThreadPool& pool = util::global_pool();
-  std::vector<std::vector<Candidate>> buffers;
-
+  std::vector<Candidate> buffer;
   for (std::size_t size = 0; size < n; ++size) {
     auto& bucket = by_size[size];
     if (bucket.empty()) continue;
@@ -149,27 +142,12 @@ ScheduleResult IosScheduler::schedule(const graph::Graph& g, const cost::CostMod
     for (std::size_t rank = beam; rank < bucket.size(); ++rank)
       states[static_cast<std::size_t>(bucket[rank])].expandable = false;
 
+    // Expanding a state only reaches strictly larger down-sets, so the
+    // bucket being walked never grows underneath this loop.
     const std::size_t expand = std::min(beam, bucket.size());
-    // Phase A (parallel): generate each expanded state's candidates into a
-    // per-state buffer. Phase B (serial): merge the buffers in rank order,
-    // replaying the sequential emplace/update sequence so state indices —
-    // and hence parents, bucket contents, and the reconstructed schedule —
-    // are assigned identically for every thread count.
-    if (pool.num_threads() == 1 || expand == 1) {
-      if (buffers.empty()) buffers.resize(1);
-      for (std::size_t rank = 0; rank < expand; ++rank) {
-        expand_state(bucket[rank], buffers[0]);
-        for (const Candidate& cand : buffers[0]) merge_candidate(bucket[rank], cand);
-      }
-    } else {
-      if (buffers.size() < expand) buffers.resize(expand);
-      pool.for_chunks(expand, [&](int /*chunk*/, std::size_t begin, std::size_t end) {
-        for (std::size_t rank = begin; rank < end; ++rank)
-          expand_state(bucket[rank], buffers[rank]);
-      });
-      for (std::size_t rank = 0; rank < expand; ++rank) {
-        for (const Candidate& cand : buffers[rank]) merge_candidate(bucket[rank], cand);
-      }
+    for (std::size_t rank = 0; rank < expand; ++rank) {
+      expand_state(bucket[rank], buffer);
+      for (const Candidate& cand : buffer) merge_candidate(bucket[rank], cand);
     }
   }
 

@@ -35,14 +35,10 @@ struct SchedulerConfig {
 struct ScheduleResult {
   Schedule schedule;
   double latency_ms = 0.0;     ///< evaluated latency under the cost model
-  /// Wall-clock time of the whole schedule() call, measured on the calling
-  /// thread from entry to return. When the scheduler fans its search out on
-  /// util::global_pool() this *includes* pool dispatch and the caller's
-  /// wait for workers — it is elapsed time, never per-worker CPU time
-  /// summed, so an 8-thread run reports less than a 1-thread run for the
-  /// same search, not 8x the CPU. Schedules and latency_ms are bit-
-  /// identical for every thread count; scheduling_ms is the only field
-  /// that varies.
+  /// Wall-clock time of the whole schedule() call, measured from entry to
+  /// return. Every scheduler searches on the calling thread alone, so the
+  /// global pool's size changes neither the work done nor the result;
+  /// scheduling_ms is the only field that varies between runs.
   double scheduling_ms = 0.0;
   std::string algorithm;
 };

@@ -49,8 +49,8 @@ class PlanPool {
   /// Ensures warm plans for `mask` and every single-GPU-down subset of it
   /// (skipping subsets with no survivor). The masks are distinct cache
   /// keys, so the cold builds run concurrently on the shared thread pool
-  /// (util::global_pool()); each build's internal search parallelism nests
-  /// on the same pool. Returns how many cold builds this call performed
+  /// (util::global_pool()); each build is one single-threaded schedule()
+  /// call. Returns how many cold builds this call performed
   /// (0 = everything was already warm; a build coalesced with another
   /// caller's in-flight build does not count).
   std::size_t prewarm(const ops::Model& model, uint32_t mask, uint64_t generation);

@@ -35,7 +35,7 @@ bool ArgParser::parse(int argc, const char* const* argv) {
       has_value = true;
     }
     auto it = flags_.find(name);
-    HIOS_CHECK(it != flags_.end(), "unknown flag --" << name << "\n" << usage());
+    HIOS_CHECK(it != flags_.end(), "unknown flag --" << name << " (--help lists the flags)");
     if (!has_value) {
       // Boolean flags may omit the value; others take the next argv entry.
       if (it->second.default_value == "true" || it->second.default_value == "false") {

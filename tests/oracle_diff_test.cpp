@@ -78,9 +78,9 @@ void run_single_gpu_oracle_suite(uint64_t num_seeds) {
 
 TEST(OracleDiff, AllSchedulersRespectSingleGpuOracle) { run_single_gpu_oracle_suite(140); }
 
-// The same suite through the 8-lane pool: the parallel search paths must
-// respect the identical oracle bounds (and, per sched_parallel_test,
-// produce the identical schedules).
+// The same suite with an 8-lane global pool, which schedule() must ignore:
+// the identical oracle bounds hold (sched_parallel_test pins that the
+// schedules themselves are identical).
 TEST(OracleDiff, AllSchedulersRespectSingleGpuOraclePooled) {
   util::ScopedThreads pool(8);
   run_single_gpu_oracle_suite(60);

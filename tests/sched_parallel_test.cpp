@@ -1,19 +1,25 @@
-// Determinism suite for the parallel search paths (DESIGN.md §6g).
+// Pool-size independence of the schedulers (DESIGN.md §6g).
 //
-// The thread pool's contract is that every scheduler produces *byte-
-// identical* output for any lane count, including 1. This suite pins it:
-// over 100+ random DAGs, HIOS-LP, HIOS-MR, IOS, and the parallelize pass
-// must emit byte-identical schedules (serialized form compared as strings)
-// and bit-identical latencies at 1, 2, and 8 threads. Runs under TSan in
-// CI (label: stress), where the 2- and 8-lane passes also shake out data
-// races in the replica/merge protocol and the sharded stage-time cache.
+// schedule() searches on the calling thread alone and ignores the global
+// pool's size. This suite pins that contract: over 100+ random DAGs,
+// HIOS-LP, HIOS-MR, IOS, and the parallelize pass must emit byte-identical
+// schedules (serialized form compared as strings), bit-identical latencies,
+// and the identical search work (distinct stage queries, candidates tried)
+// at 1, 2, 4, and 8 lanes. It also covers what stays concurrent: the
+// stage-time cache under several callers and the pool primitives behind
+// PlanPool::prewarm. Runs under TSan in CI (label: stress).
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cost/stage_cache.h"
 #include "cost/table_model.h"
+#include "core/experiment.h"
 #include "models/random_dag.h"
 #include "sched/parallelize.h"
 #include "sched/scheduler.h"
@@ -40,18 +46,23 @@ std::string dump(const graph::Graph& g, const Schedule& s) { return s.to_json(g)
 struct SchedRun {
   std::string schedule;
   double latency = 0.0;
+  std::size_t distinct_stages = 0;  ///< stages the search asked the model about
+  double measured_ms = 0.0;         ///< their summed times
 };
 
 SchedRun run_scheduler(const graph::Graph& g, const std::string& algorithm,
                   const SchedulerConfig& config, int threads) {
   util::ScopedThreads pool(threads);
-  const ScheduleResult r = make_scheduler(algorithm)->schedule(g, kCost, config);
-  return SchedRun{dump(g, r.schedule), r.latency_ms};
+  const core::CountingCostModel counter(kCost);
+  const ScheduleResult r = make_scheduler(algorithm)->schedule(g, counter, config);
+  return SchedRun{dump(g, r.schedule), r.latency_ms, counter.distinct_stages(),
+                  counter.measured_ms()};
 }
 
-// 102 DAGs x {hios-lp, hios-mr, ios}: the 2- and 8-lane runs must
-// reproduce the single-lane schedule byte for byte and its latency bit for
-// bit (EXPECT_EQ on doubles is exact equality, not a tolerance).
+// 102 DAGs x {hios-lp, hios-mr, ios}: the 2-, 4- and 8-lane runs must
+// reproduce the single-lane schedule byte for byte, its latency bit for
+// bit (EXPECT_EQ on doubles is exact equality, not a tolerance), and its
+// search work query for query.
 TEST(SchedParallel, SchedulersByteIdenticalAcrossThreadCounts) {
   for (uint64_t seed = 1; seed <= 102; ++seed) {
     const graph::Graph g = make_dag(seed);
@@ -60,11 +71,15 @@ TEST(SchedParallel, SchedulersByteIdenticalAcrossThreadCounts) {
     config.window = 2 + static_cast<int>(seed % 3);    // 2..4 ops
     for (const char* algorithm : {"hios-lp", "hios-mr", "ios"}) {
       const SchedRun reference = run_scheduler(g, algorithm, config, 1);
-      for (int threads : {2, 8}) {
+      for (int threads : {2, 4, 8}) {
         const SchedRun run = run_scheduler(g, algorithm, config, threads);
         EXPECT_EQ(run.schedule, reference.schedule)
             << algorithm << " seed=" << seed << " threads=" << threads;
         EXPECT_EQ(run.latency, reference.latency)
+            << algorithm << " seed=" << seed << " threads=" << threads;
+        EXPECT_EQ(run.distinct_stages, reference.distinct_stages)
+            << algorithm << " seed=" << seed << " threads=" << threads;
+        EXPECT_EQ(run.measured_ms, reference.measured_ms)
             << algorithm << " seed=" << seed << " threads=" << threads;
       }
     }
@@ -88,7 +103,7 @@ TEST(SchedParallel, ParallelizeByteIdenticalAcrossThreadCounts) {
       util::ScopedThreads pool(1);
       reference = parallelize(g, base.schedule, kCost, window);
     }
-    for (int threads : {2, 8}) {
+    for (int threads : {2, 4, 8}) {
       util::ScopedThreads pool(threads);
       const ParallelizeResult run = parallelize(g, base.schedule, kCost, window);
       EXPECT_EQ(dump(g, run.schedule), dump(g, reference.schedule))
@@ -103,8 +118,8 @@ TEST(SchedParallel, ParallelizeByteIdenticalAcrossThreadCounts) {
   }
 }
 
-// The sharded stage-time cache must return what the inner model returns,
-// and its hit/miss totals must be exact when queried single-threaded.
+// The stage-time cache must return what the inner model returns, with
+// exact hit/miss totals.
 TEST(SchedParallel, StageCacheMatchesInnerModel) {
   const graph::Graph g = make_dag(99);
   const cost::StageTimeCache cached(kCost);
@@ -120,21 +135,105 @@ TEST(SchedParallel, StageCacheMatchesInnerModel) {
   EXPECT_EQ(cached.misses(), g.num_nodes());
 }
 
-// Pool primitives: argmin ties break to the lowest index and reductions
-// fold in index order, at several lane counts.
+// Table model whose multi-op stage times take a while to compute, which
+// widens the window in which concurrent callers miss on the same stage.
+class SlowTableModel final : public cost::CostModel {
+ public:
+  double stage_time(const graph::Graph& g,
+                    std::span<const graph::NodeId> stage) const override {
+    if (stage.size() > 1) std::this_thread::sleep_for(std::chrono::microseconds(20));
+    return kCost.stage_time(g, stage);
+  }
+  double demand(const graph::Graph& g, graph::NodeId v) const override {
+    return kCost.demand(g, v);
+  }
+};
+
+// Several threads sharing one cache: every answer is the inner model's,
+// every call is counted once, and each distinct stage is filled once.
+TEST(SchedParallel, StageCacheExactUnderConcurrentCallers) {
+  models::RandomDagParams p;
+  p.num_ops = 300;
+  p.num_layers = 20;
+  p.num_deps = 600;
+  const graph::Graph g = models::random_dag(p);
+  const auto n = static_cast<graph::NodeId>(g.num_nodes());
+  // Singletons plus overlapping multi-op windows, all distinct sequences.
+  std::vector<std::vector<graph::NodeId>> stages;
+  for (graph::NodeId v = 0; v < n; ++v) stages.push_back({v});
+  for (graph::NodeId v = 0; v + 2 < n; ++v) stages.push_back({v, v + 1, v + 2});
+  for (graph::NodeId v = 0; v + 1 < n; ++v) stages.push_back({v + 1, v});
+
+  const SlowTableModel slow;
+  const cost::StageTimeCache cached(slow);
+  constexpr int kThreads = 4, kRounds = 20;
+  std::atomic<int> wrong{0}, ready{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      // Start together so the first round's fills race.
+      ++ready;
+      while (ready.load() < kThreads) std::this_thread::yield();
+      for (int round = 0; round < kRounds; ++round) {
+        for (std::size_t i = 0; i < stages.size(); ++i) {
+          // Odd threads walk the set backwards, so they meet the even ones.
+          const auto& stage = stages[t % 2 == 0 ? i : stages.size() - 1 - i];
+          const auto span = std::span<const graph::NodeId>(stage);
+          if (cached.stage_time(g, span) != kCost.stage_time(g, span)) ++wrong;
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_EQ(cached.hits() + cached.misses(), kThreads * kRounds * stages.size());
+  EXPECT_EQ(cached.misses(), stages.size());
+}
+
+// Pool primitives behind PlanPool::prewarm, at several lane counts: every
+// index runs exactly once, the static partition is a function of
+// (n, threads) alone, and the lowest-index chunk's exception is rethrown.
 TEST(SchedParallel, PoolPrimitivesAreDeterministic) {
-  const std::vector<double> keys = {5.0, 3.0, 3.0, 7.0, 3.0, 9.0};
   for (int threads : {1, 2, 8}) {
     util::ScopedThreads scoped(threads);
     util::ThreadPool& pool = util::global_pool();
-    EXPECT_EQ(pool.parallel_argmin(keys.size(),
-                                   [&](std::size_t i) { return keys[i]; }),
-              1u)
-        << "threads=" << threads;
-    const double sum = pool.parallel_reduce(
-        1000, 0.0, [](std::size_t i) { return static_cast<double>(i); },
-        [](double a, double b) { return a + b; });
-    EXPECT_EQ(sum, 499500.0) << "threads=" << threads;
+    for (std::size_t n : {0u, 1u, 5u, 8u, 1000u}) {
+      std::vector<std::atomic<int>> runs(n);
+      pool.parallel_for(n, [&](std::size_t i) { ++runs[i]; });
+      for (std::size_t i = 0; i < n; ++i)
+        EXPECT_EQ(runs[i].load(), 1) << "threads=" << threads << " n=" << n << " i=" << i;
+
+      // Chunk c must cover [c*n/chunks, (c+1)*n/chunks), on every call.
+      const int chunks = pool.num_chunks(n);
+      EXPECT_EQ(chunks, static_cast<int>(std::min<std::size_t>(threads, n)));
+      for (int rep = 0; rep < 3; ++rep) {
+        std::vector<std::pair<std::size_t, std::size_t>> bounds(
+            static_cast<std::size_t>(chunks), {n + 1, n + 1});
+        pool.for_chunks(n, [&](int c, std::size_t begin, std::size_t end) {
+          bounds[static_cast<std::size_t>(c)] = {begin, end};
+        });
+        for (int c = 0; c < chunks; ++c) {
+          const auto cs = static_cast<std::size_t>(c);
+          const auto total = static_cast<std::size_t>(chunks);
+          EXPECT_EQ(bounds[cs].first, cs * n / total) << "threads=" << threads << " c=" << c;
+          EXPECT_EQ(bounds[cs].second, (cs + 1) * n / total)
+              << "threads=" << threads << " c=" << c;
+        }
+      }
+    }
+
+    // Every chunk but the first throws; chunk 1's error must surface (with
+    // one lane there is a single chunk, which does not throw).
+    std::string caught;
+    try {
+      pool.for_chunks(64, [](int c, std::size_t, std::size_t) {
+        if (c > 0) throw std::runtime_error("chunk " + std::to_string(c));
+      });
+    } catch (const std::runtime_error& e) {
+      caught = e.what();
+    }
+    EXPECT_EQ(caught, threads == 1 ? "" : "chunk 1") << "threads=" << threads;
   }
 }
 

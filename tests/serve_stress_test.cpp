@@ -244,9 +244,8 @@ TEST(ServeStress, SingleFlightCacheBuildsOnce) {
 }
 
 TEST(ServeStress, PooledColdPathsMatchSequential) {
-  // 8-lane pool: cold schedule builds, their nested search parallelism,
-  // and concurrent prewarm all fan out on the shared pool while the trace
-  // replays. The deterministic-replay contract must survive: verdict
+  // 8-lane pool: concurrent prewarm builds fan out on the shared pool
+  // while the trace replays. The deterministic-replay contract must survive: verdict
   // counts, cache totals, and the virtual makespan equal the 1-lane run,
   // and conservation (including the cache-lookup law) holds throughout.
   auto run = [](int threads) {
