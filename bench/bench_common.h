@@ -18,22 +18,6 @@
 
 namespace hios::bench {
 
-/// Parses argv, exiting the process on a malformed flag: the error and the
-/// usage go to stderr and the exit status is 2. `read` pulls the parsed
-/// values out, so a bad value (e.g. --smoke=maybe) takes the same path.
-/// Returns false when --help was printed (main should return 0).
-template <typename ReadFn>
-bool parse_flags_or_exit(ArgParser& args, int argc, char** argv, ReadFn&& read) {
-  try {
-    if (!args.parse(argc, argv)) return false;
-    read();
-    return true;
-  } catch (const Error& e) {
-    std::fprintf(stderr, "error: %s\n\n%s", e.what(), args.usage().c_str());
-    std::exit(2);
-  }
-}
-
 /// Number of random instances per data point. The paper averages 30 runs;
 /// default is 5 to keep `for b in build/bench/*; do $b; done` minutes-scale
 /// on one core. Override with HIOS_BENCH_INSTANCES=30 for paper-strength

@@ -111,7 +111,7 @@ int main(int argc, char** argv) {
   std::string golden_write, golden_check;
   bool smoke = false;
   double bound = 0.0;
-  if (!bench::parse_flags_or_exit(args, argc, argv, [&] {
+  if (!parse_flags_or_exit(args, argc, argv, [&] {
         golden_write = args.get("golden-write");
         golden_check = args.get("golden-check");
         smoke = args.get_bool("smoke") || !golden_write.empty() || !golden_check.empty();

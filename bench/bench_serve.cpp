@@ -320,7 +320,7 @@ int main(int argc, char** argv) {
   bool smoke = false, enforce = false;
   std::string json_path;
   int threads = 0;
-  if (!bench::parse_flags_or_exit(args, argc, argv, [&] {
+  if (!parse_flags_or_exit(args, argc, argv, [&] {
         smoke = args.get_bool("smoke");
         enforce = args.get_bool("assert");
         json_path = args.get("json");

@@ -56,19 +56,29 @@ int main(int argc, char** argv) {
       .add_flag("save", "", "write the schedule JSON here")
       .add_flag("load", "", "read a schedule JSON instead of scheduling")
       .add_flag("execute", "false", "run the schedule on the virtual-GPU engine");
-  if (!args.parse(argc, argv)) return 0;
+  int gpus = 0;
+  bool execute = false;
+  if (!parse_flags_or_exit(args, argc, argv, [&] {
+        gpus = static_cast<int>(args.get_int("gpus"));
+        execute = args.get_bool("execute");
+      }))
+    return 0;
 
   const ops::Model model = build_model(args.get("model"));
-  const int gpus = static_cast<int>(args.get_int("gpus"));
   const cost::ProfiledModel pm = cost::profile_model(model, cost::make_a40_server(gpus));
 
   sched::Schedule schedule;
   if (const std::string path = args.get("load"); !path.empty()) {
-    std::ifstream in(path);
-    HIOS_CHECK(in.good(), "cannot open " << path);
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    schedule = sched::Schedule::from_json(Json::parse(buffer.str()));
+    try {
+      std::ifstream in(path);
+      HIOS_CHECK(in.good(), "cannot open " << path);
+      std::ostringstream buffer;
+      buffer << in.rdbuf();
+      schedule = sched::Schedule::from_json(Json::parse(buffer.str()));
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "error: --load %s: %s\n", path.c_str(), e.what());
+      return 2;
+    }
     std::printf("loaded schedule from %s\n", path.c_str());
   } else {
     sched::SchedulerConfig config;
@@ -95,7 +105,7 @@ int main(int argc, char** argv) {
     std::printf("saved schedule to %s\n", path.c_str());
   }
 
-  if (args.get_bool("execute")) {
+  if (execute) {
     const auto run = runtime::execute_schedule(model, pm.graph, schedule, *pm.cost);
     std::printf("executed on %d virtual GPUs: virtual-clock latency %.4f ms, %zu sink "
                 "tensors produced\n",

@@ -4,6 +4,7 @@
 #include <unordered_set>
 
 #include "graph/algorithms.h"
+#include "sched/stage_dag.h"
 
 namespace hios::sched {
 
@@ -11,36 +12,23 @@ ScheduleState::ScheduleState(const graph::CompiledGraph& cg, const cost::CostMod
     : cg_(cg), cost_(cost) {}
 
 void ScheduleState::load(const Schedule& schedule) {
-  const std::size_t n = cg_.num_nodes();
+  HIOS_CHECK(schedule.num_gpus >= 1, "ScheduleState: schedule has no GPUs");
+  // StageDag checks the input; its flat stage ids become the stable ids.
+  const StageDag dag(cg_.graph(), schedule);
   num_gpus_ = schedule.num_gpus;
-  HIOS_CHECK(num_gpus_ >= 1, "ScheduleState: schedule has no GPUs");
-
   stage_gpu_.clear();
   ops_.clear();
   alive_.clear();
   pos_of_.clear();
   gpu_list_.assign(static_cast<std::size_t>(num_gpus_), {});
-  node_stage_.assign(n, -1);
+  node_stage_ = dag.stage_of();
   pending_.reset();
-
-  for (int gpu = 0; gpu < num_gpus_; ++gpu) {
-    const auto& stages = schedule.gpus[static_cast<std::size_t>(gpu)];
-    for (std::size_t s = 0; s < stages.size(); ++s) {
-      HIOS_CHECK(!stages[s].ops.empty(), "empty stage " << s << " on GPU " << gpu);
-      const int sid = static_cast<int>(ops_.size());
-      for (graph::NodeId v : stages[s].ops) {
-        HIOS_CHECK(v >= 0 && static_cast<std::size_t>(v) < n,
-                   "schedule references node " << v);
-        HIOS_CHECK(node_stage_[static_cast<std::size_t>(v)] == -1,
-                   "node " << v << " appears in two stages");
-        node_stage_[static_cast<std::size_t>(v)] = sid;
-      }
-      stage_gpu_.push_back(gpu);
-      ops_.push_back(stages[s].ops);
-      alive_.push_back(1);
-      pos_of_.push_back(static_cast<int>(gpu_list_[static_cast<std::size_t>(gpu)].size()));
-      gpu_list_[static_cast<std::size_t>(gpu)].push_back(sid);
-    }
+  for (const StageDag::FlatStage& st : dag.stages()) {
+    gpu_list_[static_cast<std::size_t>(st.gpu)].push_back(static_cast<int>(ops_.size()));
+    stage_gpu_.push_back(st.gpu);
+    ops_.emplace_back(st.ops.begin(), st.ops.end());
+    alive_.push_back(1);
+    pos_of_.push_back(st.index);
   }
   alive_count_ = ops_.size();
 
@@ -66,7 +54,6 @@ void ScheduleState::load(const Schedule& schedule) {
     const graph::Edge& edge = g.edge(e);
     const int su = node_stage_[static_cast<std::size_t>(edge.src)];
     const int sv = node_stage_[static_cast<std::size_t>(edge.dst)];
-    if (su < 0 || sv < 0) continue;
     edge_transfer_[static_cast<std::size_t>(e)] = cost_.transfer_time(
         g, e, stage_gpu_[static_cast<std::size_t>(su)], stage_gpu_[static_cast<std::size_t>(sv)]);
   }
@@ -86,7 +73,7 @@ void ScheduleState::rebuild_reach() {
   for (const graph::Edge& e : cg_.graph().edges()) {
     const int su = node_stage_[static_cast<std::size_t>(e.src)];
     const int sv = node_stage_[static_cast<std::size_t>(e.dst)];
-    if (su < 0 || sv < 0 || su == sv) continue;
+    if (su == sv) continue;
     const uint64_t key = (static_cast<uint64_t>(static_cast<uint32_t>(su)) << 32) |
                          static_cast<uint64_t>(static_cast<uint32_t>(sv));
     if (seen.insert(key).second) condensed.add_edge(su, sv);
@@ -213,7 +200,7 @@ bool ScheduleState::run_eval() {
       for (graph::NodeId v : ops_[static_cast<std::size_t>(sid)]) {
         for (graph::EdgeId e : cg_.in_edges(v)) {
           const int su = node_stage_[static_cast<std::size_t>(g.edge(e).src)];
-          if (su < 0 || su == sid) continue;
+          if (su == sid) continue;
           if (mark_[static_cast<std::size_t>(su)] != mark_gen_) {
             mark_[static_cast<std::size_t>(su)] = mark_gen_;
             ++deg;
@@ -252,7 +239,7 @@ bool ScheduleState::run_eval() {
     for (graph::NodeId v : ops_[static_cast<std::size_t>(s)]) {
       for (graph::EdgeId e : cg_.out_edges(v)) {
         const int sv = node_stage_[static_cast<std::size_t>(g.edge(e).dst)];
-        if (sv < 0 || sv == s) continue;
+        if (sv == s) continue;
         ready_[static_cast<std::size_t>(sv)] =
             std::max(ready_[static_cast<std::size_t>(sv)],
                      t_finish + edge_transfer_[static_cast<std::size_t>(e)]);

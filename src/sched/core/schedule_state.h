@@ -23,8 +23,8 @@
 //     reach[s] |= U (U = union of the members' reach sets) for every s
 //     reaching any member covers the new closure (see DESIGN.md §6d).
 //
-// Evaluation is bit-identical to sched::evaluate_schedule /
-// evaluate_partial_schedule (the retained reference implementation): the
+// Evaluation is bit-identical to sched::evaluate_schedule (the retained
+// reference implementation, over sched::StageDag): the
 // timing recurrence uses only max and + over the same operands, so the
 // result is independent of traversal order; the equivalence is enforced by
 // the randomized property suite in tests/sched_core_test.cpp.
@@ -48,17 +48,16 @@ class ScheduleState {
   /// cost::StageTimeCache). Both must outlive the state.
   ScheduleState(const graph::CompiledGraph& cg, const cost::CostModel& cost);
 
-  /// Loads `schedule`, replacing any previous state. Nodes absent from the
-  /// schedule are allowed (partial schedules, evaluated like
-  /// evaluate_partial_schedule). Throws on empty stages, out-of-range ids,
-  /// or an op listed twice.
+  /// Loads `schedule`, replacing any previous state. Throws, like
+  /// evaluate_schedule, on empty stages, out-of-range ids, an op listed
+  /// twice or an op missing from the schedule.
   void load(const Schedule& schedule);
 
   int num_gpus() const { return num_gpus_; }
   std::size_t num_stages_alive() const { return alive_count_; }
 
   // --- O(1) location --------------------------------------------------
-  /// Stable stage id holding `v`, or -1 when v is unscheduled.
+  /// Stable stage id holding `v`.
   int stage_of(graph::NodeId v) const { return node_stage_[static_cast<std::size_t>(v)]; }
   int gpu_of_stage(int sid) const { return stage_gpu_[static_cast<std::size_t>(sid)]; }
   /// Current position of an alive stage in its GPU's stage list.
@@ -128,7 +127,7 @@ class ScheduleState {
   std::vector<char> alive_;
   std::vector<std::vector<int>> gpu_list_;       ///< gpu -> ordered alive ids
   std::vector<int> pos_of_;                      ///< stable id -> position (-1 dead)
-  std::vector<int> node_stage_;                  ///< node -> stable id (-1 absent)
+  std::vector<int> node_stage_;                  ///< node -> stable id
 
   std::vector<DynBitset> reach_;                 ///< data-edge reachability, stable ids
   std::optional<PendingMerge> pending_;
@@ -137,7 +136,7 @@ class ScheduleState {
   // load() and extract() (merges stay on their GPU), so each edge's
   // transfer time is a per-load constant; each stage's t(S) only changes
   // when it absorbs a merge window, maintained by apply/undo.
-  std::vector<double> edge_transfer_;            ///< edge id -> transfer (0 when endpoint absent)
+  std::vector<double> edge_transfer_;            ///< edge id -> transfer
   std::vector<double> stage_time_;               ///< stable id -> t(S) on its GPU
 
   // Evaluation scratch, sized at load(); reused allocation-free.

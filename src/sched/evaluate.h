@@ -6,12 +6,12 @@
 //     finished (+ t(u,v) when producer and consumer are on different GPUs),
 //   * a stage runs for t(S) from the cost model.
 // This is the *reference* evaluator: a single from-scratch O(V + E + S)
-// pass over the stage DAG. The schedulers' inner loops now score candidates
-// through the incremental sched::ScheduleState (sched/core/), which must
-// produce bit-identical latencies and timings — an equivalence enforced by
-// the randomized property suite in tests/sched_core_test.cpp. Infeasible
-// schedules (dependency cycles through the per-GPU execution order) are
-// detected and reported by both.
+// pass over the stage DAG (sched/stage_dag.h). The schedulers' inner loops
+// score candidates through the incremental sched::ScheduleState
+// (sched/core/), which must produce bit-identical latencies and timings —
+// an equivalence enforced by the randomized property suite in
+// tests/sched_core_test.cpp. Infeasible schedules (dependency cycles
+// through the per-GPU execution order) are detected and reported by both.
 #pragma once
 
 #include <optional>
@@ -33,22 +33,15 @@ struct StageTiming {
 /// Full evaluation result.
 struct Evaluation {
   double latency_ms = 0.0;
-  std::vector<StageTiming> stages;      ///< flattened, in evaluation order
-  std::vector<int> stage_of;            ///< node -> flattened stage index (-1 if absent)
+  std::vector<StageTiming> stages;      ///< flattened GPU-major, like StageDag::stages()
+  std::vector<int> stage_of;            ///< node -> flattened stage index
 };
 
 /// Evaluates `schedule` for graph `g` with cost model `cost`.
 /// Returns nullopt when the schedule deadlocks (cycle between stage
-/// dependencies and per-GPU execution order). Ops absent from the schedule
-/// are not allowed (throws) — use partial graphs instead.
+/// dependencies and per-GPU execution order). Throws on the input errors
+/// StageDag rejects, e.g. an op absent from the schedule.
 std::optional<Evaluation> evaluate_schedule(const graph::Graph& g, const Schedule& schedule,
                                             const cost::CostModel& cost);
-
-/// Like evaluate_schedule but over the subset of nodes present in the
-/// schedule; edges to/from unscheduled nodes are ignored. Used by HIOS-LP
-/// while the mapping is still partial.
-std::optional<Evaluation> evaluate_partial_schedule(const graph::Graph& g,
-                                                    const Schedule& schedule,
-                                                    const cost::CostModel& cost);
 
 }  // namespace hios::sched

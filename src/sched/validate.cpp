@@ -3,8 +3,7 @@
 #include <sstream>
 
 #include "graph/algorithms.h"
-#include "sched/evaluate.h"
-#include "cost/table_model.h"
+#include "sched/stage_dag.h"
 
 namespace hios::sched {
 
@@ -70,12 +69,9 @@ std::vector<std::string> validate_schedule(const graph::Graph& g, const Schedule
     }
   }
 
-  // 3. deadlock-freedom: the evaluator's Kahn pass must cover every stage.
-  // Any cost model works for feasibility; use the table model.
-  cost::TableCostModel probe;
-  if (!evaluate_schedule(g, schedule, probe).has_value()) {
+  // 3. deadlock-freedom: the stage DAG must have a topological order.
+  if (!StageDag(g, schedule).order().has_value())
     complain("stage graph has a cycle (schedule deadlocks)");
-  }
   return violations;
 }
 

@@ -5,9 +5,13 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <map>
 #include <string>
 #include <vector>
+
+#include "util/error.h"
 
 namespace hios {
 
@@ -47,5 +51,21 @@ class ArgParser {
   std::vector<std::string> order_;
   std::vector<std::string> positional_;
 };
+
+/// Parses argv, exiting the process on a malformed flag: the error and the
+/// usage go to stderr and the exit status is 2. `read` pulls the parsed
+/// values out, so a bad value (e.g. --smoke=maybe) takes the same path.
+/// Returns false when --help was printed (main should return 0).
+template <typename ReadFn>
+bool parse_flags_or_exit(ArgParser& args, int argc, char** argv, ReadFn&& read) {
+  try {
+    if (!args.parse(argc, argv)) return false;
+    read();
+    return true;
+  } catch (const Error& e) {
+    std::fprintf(stderr, "error: %s\n\n%s", e.what(), args.usage().c_str());
+    std::exit(2);
+  }
+}
 
 }  // namespace hios

@@ -89,15 +89,6 @@ TEST(Evaluate, MissingNodeThrows) {
   EXPECT_THROW(evaluate_schedule(g, s, kCost), Error);
 }
 
-TEST(Evaluate, PartialIgnoresUnscheduled) {
-  const graph::Graph g = models::make_chain(3, 2.0, 0.5);
-  Schedule s(1);
-  s.push_op(0, 0);  // only the first op
-  const auto eval = evaluate_partial_schedule(g, s, kCost);
-  ASSERT_TRUE(eval.has_value());
-  EXPECT_DOUBLE_EQ(eval->latency_ms, 2.0);
-}
-
 TEST(Evaluate, WorstTransferBetweenStagePairKept) {
   // Two edges between the same pair of cross-GPU stages: use the max.
   graph::Graph g;

@@ -2,12 +2,13 @@
 //
 // The refactor's contract is *exact* equivalence: ScheduleState /
 // ListScheduleState / StageTimeCache must produce bit-identical numbers to
-// the retained reference implementations (evaluate_schedule,
-// evaluate_partial_schedule, list_schedule, the inner cost model) — the
-// recurrences use only max and + over the same operands in the same order,
-// so no tolerance is needed or used. Across the suites below, well over
-// 200 randomized DAG / schedule / merge cases are exercised, including
-// deadlock (nullopt) parity on adversarially permuted per-GPU orders.
+// the retained reference implementations (evaluate_schedule, list_schedule,
+// the inner cost model) — the recurrences use only max and + over the same
+// operands in the same order, so no tolerance is needed or used. Across
+// the suites below, well over 200 randomized DAG / schedule / merge cases
+// are exercised, including deadlock (nullopt) parity on adversarially
+// permuted per-GPU orders. Schedules always cover the whole graph:
+// ScheduleState::load rejects a missing node, like evaluate_schedule.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,6 +20,7 @@
 #include "cost/table_model.h"
 #include "graph/algorithms.h"
 #include "graph/compiled_graph.h"
+#include "models/examples.h"
 #include "models/random_dag.h"
 #include "sched/core/list_state.h"
 #include "sched/core/schedule_state.h"
@@ -40,7 +42,6 @@ graph::Graph make_dag(std::mt19937_64& rng) {
 
 struct ScheduleOpts {
   double group_prob = 0.4;  ///< chance to co-schedule with the previous stage
-  double drop_prob = 0.0;   ///< chance to leave a node unscheduled
   bool shuffle = false;     ///< randomly permute per-GPU stage order
 };
 
@@ -55,7 +56,6 @@ Schedule random_schedule(const graph::Graph& g, const std::vector<DynBitset>& re
   Schedule s(m);
   std::uniform_real_distribution<double> coin(0.0, 1.0);
   for (graph::NodeId v : *topo) {
-    if (coin(rng) < opts.drop_prob) continue;
     auto& stages = s.gpus[rng() % static_cast<uint64_t>(m)];
     if (!stages.empty() && stages.back().ops.size() < 4 && coin(rng) < opts.group_prob) {
       bool ok = true;
@@ -150,23 +150,16 @@ TEST(SchedCore, DeadlockParityOnPermutedOrders) {
   EXPECT_GT(feasible, 0);
 }
 
-TEST(SchedCore, PartialSchedulesMatchPartialEvaluator) {
-  std::mt19937_64 rng(0xBEEF);
-  for (int iter = 0; iter < 60; ++iter) {
-    const graph::Graph g = make_dag(rng);
-    const int m = 1 + static_cast<int>(rng() % 4);
-    cost::TableCostModel cost;
-    maybe_decorate(cost, m, rng);
-    const auto reach = graph::reachability(g);
-    ScheduleOpts opts;
-    opts.drop_prob = 0.3;
-    const Schedule s = random_schedule(g, reach, m, rng, opts);
-
-    const graph::CompiledGraph cg(g);
-    ScheduleState state(cg, cost);
-    state.load(s);
-    expect_eval_equal(evaluate_partial_schedule(g, s, cost), state.evaluate());
-  }
+TEST(SchedCore, LoadThrowsOnMissingNode) {
+  const graph::Graph g = models::make_chain(3);
+  const graph::CompiledGraph cg(g);
+  const cost::TableCostModel cost;
+  ScheduleState state(cg, cost);
+  Schedule s(2);
+  s.push_op(0, 0);
+  s.push_op(1, 2);
+  EXPECT_THROW(state.load(s), Error);
+  EXPECT_THROW(evaluate_schedule(g, s, cost), Error);
 }
 
 /// Reference scoring of a merge candidate: deep-copy the schedule, splice

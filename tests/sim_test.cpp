@@ -1,13 +1,21 @@
 // Tests for the simulators and timeline exporters.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "cost/table_model.h"
 #include "graph/algorithms.h"
 #include "models/examples.h"
 #include "models/random_dag.h"
 #include "sched/evaluate.h"
 #include "sched/scheduler.h"
+#include "sched/validate.h"
 #include "sim/event_sim.h"
+#include "sim/pipeline_sim.h"
 
 namespace hios::sim {
 namespace {
@@ -124,6 +132,124 @@ TEST(SimulateOps, GroupedStageFinishMatchesStageTimeWhenSynchronized) {
   const auto op_tl = simulate_ops(g, s, kCost);
   ASSERT_TRUE(stage_tl && op_tl);
   EXPECT_NEAR(op_tl->latency_ms, stage_tl->latency_ms, 1e-9);
+}
+
+/// t(S) = 1 ms without looking at the ops, so an evaluator cannot lean on
+/// the cost model to range-check node ids.
+struct BlindCostModel final : cost::CostModel {
+  double stage_time(const graph::Graph&, std::span<const graph::NodeId>) const override {
+    return 1.0;
+  }
+  double demand(const graph::Graph&, graph::NodeId) const override { return 1.0; }
+};
+
+TEST(StageDag, BadNodeIdIsRejectedByEveryEvaluator) {
+  const graph::Graph g = models::make_chain(3, 1.0, 0.2);
+  const BlindCostModel cost;
+  const auto n = static_cast<graph::NodeId>(g.num_nodes());
+  for (const graph::NodeId bad : {n, graph::NodeId{-1}}) {
+    sched::Schedule s = chain_on_two_gpus(g);
+    s.push_op(1, bad);
+    EXPECT_THROW(sched::evaluate_schedule(g, s, cost), Error) << bad;
+    EXPECT_THROW(simulate_ops(g, s, cost), Error) << bad;
+    EXPECT_THROW(simulate_pipeline(g, s, cost, 2), Error) << bad;
+    const auto violations = sched::validate_schedule(g, s);
+    const std::string unknown = "unknown node " + std::to_string(bad);
+    EXPECT_TRUE(std::any_of(violations.begin(), violations.end(), [&](const std::string& v) {
+      return v.find(unknown) != std::string::npos;
+    })) << bad;
+  }
+}
+
+/// Request-major unrolling of `s` over `copies` disjoint copies of `g`:
+/// copy k's node v becomes v + k * n, and each GPU lists copy 0's stages,
+/// then copy 1's, and so on — the order simulate_pipeline executes.
+std::pair<graph::Graph, sched::Schedule> unroll(const graph::Graph& g, const sched::Schedule& s,
+                                                int copies) {
+  const auto n = static_cast<graph::NodeId>(g.num_nodes());
+  graph::Graph big("unrolled");
+  sched::Schedule big_s(s.num_gpus);
+  for (int k = 0; k < copies; ++k) {
+    for (graph::NodeId v = 0; v < n; ++v) big.add_node(g.node_name(v), g.node_weight(v));
+    for (const graph::Edge& e : g.edges()) big.add_edge(e.src + k * n, e.dst + k * n, e.weight);
+    for (int gpu = 0; gpu < s.num_gpus; ++gpu) {
+      for (const sched::Stage& stage : s.gpus[static_cast<std::size_t>(gpu)]) {
+        sched::Stage copy;
+        for (graph::NodeId v : stage.ops) copy.ops.push_back(v + k * n);
+        big_s.gpus[static_cast<std::size_t>(gpu)].push_back(std::move(copy));
+      }
+    }
+  }
+  return {std::move(big), std::move(big_s)};
+}
+
+TEST(SimulatePipeline, EqualsEvaluationOfTheUnrolledSchedule) {
+  std::mt19937_64 rng(0x919E);
+  for (int iter = 0; iter < 50; ++iter) {
+    models::RandomDagParams p;
+    p.num_ops = 8 + static_cast<int>(rng() % 32);
+    p.num_layers = 2 + static_cast<int>(rng() % 5);
+    p.num_deps = p.num_ops + static_cast<int>(rng() % p.num_ops);
+    p.seed = rng();
+    const graph::Graph g = models::random_dag(p);
+    const auto n = static_cast<graph::NodeId>(g.num_nodes());
+    const auto topo = graph::topological_sort(g);
+    ASSERT_TRUE(topo.has_value());
+    for (int m = 1; m <= 4; ++m) {
+      // Topological order per GPU. v may join its GPU's last stage when all
+      // of v's producers sit in stages created before it: every stage edge
+      // then points from an older stage to a newer one, so the schedule
+      // cannot deadlock, and the grouped ops are independent.
+      sched::Schedule s(m);
+      std::vector<int> created(g.num_nodes(), 0);  // creation index of v's stage
+      std::vector<int> last_created(static_cast<std::size_t>(m), 0);
+      int num_created = 0;
+      for (graph::NodeId v : *topo) {
+        const std::size_t gpu = rng() % static_cast<uint64_t>(m);
+        auto& stages = s.gpus[gpu];
+        bool join = !stages.empty() && rng() % 3 == 0;
+        for (graph::EdgeId e : g.in_edges(v))
+          join = join && created[static_cast<std::size_t>(g.edge(e).src)] < last_created[gpu];
+        if (join) {
+          stages.back().ops.push_back(v);
+        } else {
+          stages.push_back(sched::Stage{{v}});
+          last_created[gpu] = num_created++;
+        }
+        created[static_cast<std::size_t>(v)] = last_created[gpu];
+      }
+      for (const int copies : {1, 2, 7}) {
+        const auto stats = simulate_pipeline(g, s, kCost, copies);
+        const auto [big, big_s] = unroll(g, s, copies);
+        const auto eval = sched::evaluate_schedule(big, big_s, kCost);
+        ASSERT_TRUE(stats.has_value() && eval.has_value()) << iter;
+        std::vector<double> completion(static_cast<std::size_t>(copies), 0.0);
+        for (graph::NodeId v = 0; v < static_cast<graph::NodeId>(big.num_nodes()); ++v) {
+          const auto stage = static_cast<std::size_t>(eval->stage_of[static_cast<std::size_t>(v)]);
+          double& c = completion[static_cast<std::size_t>(v / n)];
+          c = std::max(c, eval->stages[stage].finish);
+        }
+        // Bit-identical: both sides run the same max/+ recurrence.
+        EXPECT_EQ(stats->first_latency_ms, completion[0]) << iter << " " << m << " " << copies;
+        EXPECT_EQ(stats->makespan_ms, eval->latency_ms) << iter << " " << m << " " << copies;
+        if (copies > 1) {
+          double gaps = 0.0;
+          for (std::size_t k = 1; k < completion.size(); ++k)
+            gaps += completion[k] - completion[k - 1];
+          EXPECT_EQ(stats->steady_interval_ms, gaps / (copies - 1)) << iter << " " << m;
+        }
+      }
+    }
+  }
+}
+
+TEST(SimulatePipeline, EmptyGraphTakesNoTime) {
+  const graph::Graph g("empty");
+  const auto stats = simulate_pipeline(g, sched::Schedule(2), kCost, 3);
+  ASSERT_TRUE(stats.has_value());
+  EXPECT_EQ(stats->first_latency_ms, 0.0);
+  EXPECT_EQ(stats->makespan_ms, 0.0);
+  EXPECT_EQ(stats->steady_interval_ms, 0.0);
 }
 
 TEST(Timeline, ChromeTraceWellFormed) {
