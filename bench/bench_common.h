@@ -80,6 +80,23 @@ struct BenchArgs {
   int instances() const { return smoke ? 2 : instances_per_point(); }
 };
 
+/// Throws hios::Error unless `path` (when set) can be opened for writing.
+/// Run right after flag parsing, so a bad path fails before any measurement;
+/// opens for append, so an existing file is left as it is until the bench
+/// writes it.
+inline void check_output_path(const std::string& flag, const std::string& path) {
+  if (path.empty()) return;
+  std::ofstream f(path, std::ios::app);
+  HIOS_CHECK(f.good(), "cannot open --" << flag << " path " << path);
+}
+
+/// Throws hios::Error unless `path` (when set) can be opened for reading.
+inline void check_input_path(const std::string& flag, const std::string& path) {
+  if (path.empty()) return;
+  std::ifstream f(path);
+  HIOS_CHECK(f.good(), "cannot open --" << flag << " path " << path);
+}
+
 inline BenchArgs parse_bench_args(int argc, char** argv, const std::string& description) {
   ArgParser args(description);
   args.add_flag("smoke", "false", "reduced deterministic sweep (golden/CI regime)")
@@ -90,6 +107,8 @@ inline BenchArgs parse_bench_args(int argc, char** argv, const std::string& desc
     out.smoke = args.get_bool("smoke");
     out.golden_write = args.get("golden-write");
     out.golden_check = args.get("golden-check");
+    check_output_path("golden-write", out.golden_write);
+    check_input_path("golden-check", out.golden_check);
   });
   if (!out.golden_write.empty() || !out.golden_check.empty()) out.smoke = true;
   return out;

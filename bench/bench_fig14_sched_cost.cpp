@@ -116,6 +116,9 @@ int main(int argc, char** argv) {
         golden_check = args.get("golden-check");
         smoke = args.get_bool("smoke") || !golden_write.empty() || !golden_check.empty();
         bound = args.get_double("assert-max-ms");
+        bench::check_output_path("json", args.get("json"));
+        bench::check_output_path("golden-write", golden_write);
+        bench::check_input_path("golden-check", golden_check);
       }))
     return 0;
 

@@ -325,6 +325,7 @@ int main(int argc, char** argv) {
         enforce = args.get_bool("assert");
         json_path = args.get("json");
         threads = static_cast<int>(args.get_int("threads"));
+        bench::check_output_path("json", json_path);
       }))
     return 0;
   util::set_global_threads(threads);

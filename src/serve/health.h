@@ -102,8 +102,8 @@ struct GpuOutage {
 };
 
 /// Shared per-GPU / per-link health state machine. Not internally locked:
-/// the trace path mutates it single-threaded; the online path guards it
-/// with the server's health mutex.
+/// only serve::Dispatcher mutates it, single-threaded in a trace and under
+/// the online lanes' dispatch mutex.
 class HealthTracker {
  public:
   explicit HealthTracker(int num_gpus, HealthOptions options = {});

@@ -1,29 +1,16 @@
 #include "serve/server.h"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 #include <set>
+#include <tuple>
 #include <utility>
 
 #include "cost/cost_model.h"
 #include "runtime/failover.h"
+#include "serve/dispatcher.h"
 #include "util/error.h"
-#include "util/stats.h"
 
 namespace hios::serve {
-
-namespace {
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
-/// True when `gpu` is inside an outage window at instant `t` ([from, to)).
-bool outage_active(const std::vector<GpuOutage>& outages, int gpu, double t) {
-  for (const GpuOutage& o : outages) {
-    if (o.gpu == gpu && o.from_ms <= t && t < o.to_ms) return true;
-  }
-  return false;
-}
-}  // namespace
 
 double stream_contention_scale(int concurrency, double demand, double kappa) {
   HIOS_CHECK(concurrency >= 1, "stream_contention_scale: concurrency must be >= 1");
@@ -123,17 +110,10 @@ const ops::Model& Server::model(const std::string& name) const {
   return it->second;
 }
 
-std::shared_ptr<const CachedPlan> Server::resolve_plan(const std::string& model_name) {
-  const ops::Model* registered = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(models_mu_);
-    auto it = models_.find(model_name);
-    HIOS_CHECK(it != models_.end(), "unknown model '" << model_name << "'");
-    registered = &it->second;
-  }
+std::shared_ptr<const CachedPlan> Server::resolve_plan(const ops::Model& model) {
   CacheOutcome outcome = CacheOutcome::kHit;
   auto plan =
-      cache_.get(*registered, options_.algorithm, config_, TopologyVersion{}, &outcome);
+      cache_.get(model, options_.algorithm, config_, TopologyVersion{}, &outcome);
   metrics_.on_cache_result(outcome);
   return plan;
 }
@@ -175,398 +155,94 @@ Server::EngineOutcome Server::execute_plan(const ops::Model& model,
   return out;
 }
 
-ServeReport Server::run_trace(const Trace& trace) {
-  struct Item {
-    const Request* req = nullptr;
-    std::shared_ptr<const CachedPlan> plan;       ///< full-topology plan
-    std::shared_ptr<const CachedPlan> exec_plan;  ///< plan actually dispatched
-    Response resp;
-    std::size_t depth_at_admission = 0;  ///< queue depth right after admission
-    bool execute = false;                ///< provisionally completed -> engine run
-    int retries = 0;                     ///< failed attempts that re-dispatched
-  };
+void Server::take_outputs(Response& response, EngineOutcome& out) {
+  response.outputs = std::move(out.outputs);
+  response.recovered = response.recovered || out.recovered;
+  if (options_.faults != nullptr) metrics_.on_failover(out.recovery);
+}
 
-  std::vector<Item> items(trace.requests.size());
-  for (std::size_t i = 0; i < trace.requests.size(); ++i) {
-    items[i].req = &trace.requests[i];
-    items[i].resp.id = trace.requests[i].id;
-  }
+ServeReport Server::run_trace(const Trace& trace) {
+  HIOS_CHECK(workers_.empty(),
+             "Server::run_trace: online lanes are running; call drain() first");
+  using Ticket = Dispatcher::Ticket;
+  Dispatcher dispatcher(options_, health_, pool_, metrics_);
+  std::vector<Ticket> tickets;
+  tickets.reserve(trace.requests.size());
+  for (const Request& req : trace.requests) tickets.emplace_back(req);
 
   // Resolve (and cold-build) plans in sorted model-name order so cache
   // hit/miss counters are trace-order independent.
-  std::vector<std::string> trace_models;
   {
-    std::map<std::string, std::shared_ptr<const CachedPlan>> plans;
-    for (const auto& item : items) plans[item.req->model] = nullptr;
-    for (auto& [name, plan] : plans) {
-      plan = resolve_plan(name);
-      trace_models.push_back(name);
+    std::map<std::string, std::pair<const ops::Model*, std::shared_ptr<const CachedPlan>>>
+        resolved;
+    for (const Ticket& t : tickets) resolved[t.request.model];
+    for (auto& [name, entry] : resolved) {
+      entry.first = &model(name);
+      entry.second = resolve_plan(*entry.first);
+      dispatcher.add_model(name, *entry.first);
     }
-    for (auto& item : items) item.plan = plans.at(item.req->model);
+    for (Ticket& t : tickets) std::tie(t.model, t.plan) = resolved.at(t.request.model);
   }
 
-  // --- health machinery (virtual time, DESIGN.md §6f) -------------------
-  // Victim evidence is queued with its *detection* timestamp and only
-  // applied when virtual time reaches it: a request dispatched before the
-  // failure surfaced must still see the full mask (and become a victim
-  // itself if it overlaps the outage).
-  std::multimap<double, FaultEvidence> evidence;
-  std::size_t seen_transitions = 0;
-  std::pair<uint64_t, uint64_t> warmed{health_.generation(), health_.topology_epoch()};
-
-  auto note_transitions = [&] {
-    while (seen_transitions < health_.transitions().size()) {
-      metrics_.on_health_transition();
-      ++seen_transitions;
-    }
-  };
-  auto prewarm_current = [&] {
-    if (!options_.prewarm_degraded) return;
-    const std::pair<uint64_t, uint64_t> now{health_.generation(),
-                                            health_.topology_epoch()};
-    if (now == warmed) return;
-    warmed = now;
-    for (const std::string& name : trace_models) {
-      const std::size_t builds =
-          pool_.prewarm(model(name), health_.up_mask(), health_.topology_epoch());
-      metrics_.on_pool_prewarm(builds);
-    }
-  };
-  // Replays queued evidence and due probes in time order up to `t`.
-  // `t` must be finite: a permanent outage reschedules probes forever.
-  auto advance_health = [&](double t) {
-    for (;;) {
-      const double next_evidence = evidence.empty() ? kInf : evidence.begin()->first;
-      const double next_probe = health_.next_probe_due_ms();
-      if (std::min(next_evidence, next_probe) > t) break;
-      if (next_evidence <= next_probe) {
-        const FaultEvidence ev = evidence.begin()->second;
-        evidence.erase(evidence.begin());
-        health_.observe(ev);
-      } else {
-        for (int g : health_.take_due_probes(next_probe)) {
-          FaultEvidence ev;
-          const bool up = !outage_active(options_.outages, g, next_probe);
-          ev.kind = up ? FaultEvidence::Kind::kProbeSuccess
-                       : FaultEvidence::Kind::kProbeFailure;
-          ev.gpu = g;
-          ev.at_ms = next_probe;
-          health_.observe(ev);
-          metrics_.on_probe(up);
-        }
-      }
-      note_transitions();
-      prewarm_current();
-    }
-  };
-
-  // --- virtual-time admission + dispatch --------------------------------
-  // Requests arrive in (arrival, id) order; K = num_lanes() stream slots
-  // each hold one in-flight request. A request dispatched while k-1 others
-  // overlap its start runs stream_contention_scale(k, ...) slower, frozen
-  // at dispatch. Retries re-enter the pending set at their backoff-delayed
-  // ready time.
-  std::vector<Item*> order;
-  order.reserve(items.size());
-  for (auto& item : items) order.push_back(&item);
-  std::stable_sort(order.begin(), order.end(), [](const Item* a, const Item* b) {
-    if (a->req->arrival_ms != b->req->arrival_ms)
-      return a->req->arrival_ms < b->req->arrival_ms;
-    return a->req->id < b->req->id;
+  // Virtual-time admission + dispatch in (arrival, id) order.
+  std::vector<Ticket*> order;
+  order.reserve(tickets.size());
+  for (Ticket& t : tickets) order.push_back(&t);
+  std::ranges::stable_sort(order, {}, [](const Ticket* t) {
+    return std::pair(t->request.arrival_ms, t->request.id);
   });
+  for (Ticket* t : order) dispatcher.admit(*t);
+  dispatcher.dispatch_all();
 
-  const int lanes = num_lanes();
-  const double kappa = options_.platform.gpu.contention_kappa;
-  std::vector<double> lane_free(static_cast<std::size_t>(lanes), 0.0);
-
-  struct Entry {
-    double ready = 0.0;
-    RequestId id = -1;
-    int attempt = 1;
-    Item* item = nullptr;
-    bool operator<(const Entry& other) const {
-      if (ready != other.ready) return ready < other.ready;
-      if (id != other.id) return id < other.id;
-      return attempt < other.attempt;
-    }
-  };
-  std::set<Entry> pending;
-  std::vector<double> duration_samples;  ///< committed dispatch durations
-
-  auto free_lane = [&](int exclude) -> int {
-    int best = -1;
-    for (int l = 0; l < lanes; ++l) {
-      if (l == exclude) continue;
-      if (best < 0 || lane_free[static_cast<std::size_t>(l)] <
-                          lane_free[static_cast<std::size_t>(best)]) {
-        best = l;
-      }
-    }
-    return best;
-  };
-  auto in_flight_at = [&](int lane, double start) {
-    int k = 1;
-    for (int l = 0; l < lanes; ++l) {
-      if (l != lane && lane_free[static_cast<std::size_t>(l)] > start) ++k;
-    }
-    return k;
-  };
-  // Earliest outage window overlapping [start, finish) on a GPU the plan
-  // places work on; nullptr when the run is clear.
-  auto victim_outage = [&](const std::vector<int>& gpus, double start,
-                           double finish) -> const GpuOutage* {
-    const GpuOutage* best = nullptr;
-    for (const GpuOutage& o : options_.outages) {
-      if (!(o.from_ms < finish && o.to_ms > start)) continue;
-      if (std::find(gpus.begin(), gpus.end(), o.gpu) == gpus.end()) continue;
-      if (best == nullptr || std::max(start, o.from_ms) < std::max(start, best->from_ms)) {
-        best = &o;
-      }
-    }
-    return best;
-  };
-  // The survivor-topology plan for the current health state (full-topology
-  // plans bypass the pool so healthy traffic keeps the legacy counters).
-  auto current_plan = [&](Item* item) -> std::shared_ptr<const CachedPlan> {
-    if (health_.all_up() && health_.topology_epoch() == 0) return item->plan;
-    bool hit = false;
-    auto plan = pool_.plan_for(model(item->req->model), health_.up_mask(),
-                               health_.topology_epoch(), &hit);
-    metrics_.on_pool_result(hit);
-    return plan;
-  };
-
-  // Dispatches queued requests whose lane frees up by `horizon`.
-  auto dispatch_until = [&](double horizon) {
-    while (!pending.empty()) {
-      const Entry e = *pending.begin();
-      const int lane = free_lane(-1);
-      const double start = std::max(lane_free[static_cast<std::size_t>(lane)], e.ready);
-      if (start > horizon) break;
-      pending.erase(pending.begin());
-      advance_health(start);
-      Item* item = e.item;
-      Response& resp = item->resp;
-
-      auto plan = current_plan(item);
-      const int in_flight = in_flight_at(lane, start);
-      const double scale =
-          stream_contention_scale(in_flight, options_.request_demand, kappa);
-      const double duration = plan->latency_ms * scale;
-      const double finish = start + duration;
-
-      resp.lane = lane;
-      resp.concurrency = in_flight;
-      resp.queue_ms = start - item->req->arrival_ms;
-      resp.start_ms = start;
-      resp.base_ms = plan->latency_ms;
-      resp.contention_scale = scale;
-      resp.attempts = e.attempt;
-      resp.topo_mask = plan->topo_mask;
-
-      if (finish > item->req->deadline_ms) {
-        // Unmeetable deadline: never executed, lane untouched. The first
-        // attempt is a plain drop; a retry that can no longer make it
-        // terminates as failed (the request did burn a failed attempt).
-        resp.finish_ms = start;
-        resp.latency_ms = 0.0;
-        if (e.attempt == 1) {
-          resp.verdict = Verdict::kDropped;
-        } else {
-          resp.verdict = Verdict::kFailed;
-          resp.error = "deadline unmeetable after failed attempt";
-        }
-        continue;
-      }
-
-      if (const GpuOutage* o = victim_outage(plan->gpus, start, finish)) {
-        // A GPU this plan lands work on dies mid-request: the attempt
-        // fails at detection time, the lane is held until then, and the
-        // failure becomes shared health evidence (applied when virtual
-        // time reaches it).
-        const double detected = std::max(start, o->from_ms);
-        lane_free[static_cast<std::size_t>(lane)] = detected;
-        FaultEvidence ev;
-        ev.kind = FaultEvidence::Kind::kFailStop;
-        ev.gpu = o->gpu;
-        ev.at_ms = detected;
-        ev.detail = "outage window";
-        evidence.emplace(detected, ev);
-
-        const bool attempts_left = e.attempt <= options_.max_retries;
-        const double backoff =
-            options_.retry_backoff_ms *
-            std::pow(options_.retry_backoff_multiplier, e.attempt - 1);
-        const double retry_ready = detected + backoff;
-        // Deadline-aware: retry only when an uncontended re-run could
-        // still make it (the failed plan's base latency is the estimate).
-        const bool feasible =
-            retry_ready + plan->latency_ms <= item->req->deadline_ms;
-        if (attempts_left && feasible) {
-          ++item->retries;
-          pending.insert(Entry{retry_ready, e.id, e.attempt + 1, item});
-          metrics_.record_queue_depth(pending.size());
-        } else {
-          resp.verdict = Verdict::kFailed;
-          resp.finish_ms = detected;
-          resp.latency_ms = detected - item->req->arrival_ms;
-          resp.error = attempts_left ? "retry abandoned: deadline unmeetable"
-                                     : "retries exhausted: gpu outage";
-        }
-        continue;
-      }
-
-      // Committed: the attempt completes (provisionally, until the engine
-      // proves the tensors).
-      resp.verdict = Verdict::kCompleted;
-      resp.finish_ms = finish;
-      resp.latency_ms = finish - item->req->arrival_ms;
-      resp.recovered = e.attempt > 1;
-      lane_free[static_cast<std::size_t>(lane)] = finish;
-      item->execute = true;
-      item->exec_plan = plan;
-
-      // Hedge: when this dispatch projects far beyond the p99 of earlier
-      // ones, issue a backup on the next-free lane, cancel the loser the
-      // moment the winner completes, keep the winner's numbers. The hedge
-      // wins when its lane has drained enough that its (later) start pays
-      // a smaller contention scale.
-      if (options_.hedge_multiplier > 0.0 && lanes > 1 &&
-          static_cast<int>(duration_samples.size()) >= options_.hedge_min_samples &&
-          duration >
-              options_.hedge_multiplier * percentile(duration_samples, 0.99)) {
-        const int lane2 = free_lane(lane);
-        const double start2 =
-            std::max(lane_free[static_cast<std::size_t>(lane2)], start);
-        const int k2 = in_flight_at(lane2, start2);
-        const double scale2 =
-            stream_contention_scale(k2, options_.request_demand, kappa);
-        const double finish2 = start2 + plan->latency_ms * scale2;
-        if (victim_outage(plan->gpus, start2, finish2) == nullptr) {
-          resp.hedged = true;
-          const double winner = std::min(finish, finish2);
-          lane_free[static_cast<std::size_t>(lane)] = winner;
-          lane_free[static_cast<std::size_t>(lane2)] = winner;
-          if (finish2 < finish) {
-            resp.hedge_won = true;
-            resp.lane = lane2;
-            resp.concurrency = k2;
-            resp.contention_scale = scale2;
-            resp.queue_ms = start2 - item->req->arrival_ms;
-            resp.start_ms = start2;
-            resp.finish_ms = finish2;
-            resp.latency_ms = finish2 - item->req->arrival_ms;
-          }
-        }
-      }
-      duration_samples.push_back(duration);
-    }
-  };
-
-  for (Item* item : order) {
-    const double arrival = item->req->arrival_ms;
-    dispatch_until(arrival);
-    advance_health(arrival);
-    if (options_.breaker && !health_.all_up() &&
-        std::isfinite(item->req->deadline_ms)) {
-      // Circuit breaker: when even an immediately-dispatched run on the
-      // survivor plan cannot make the deadline, shed at admission instead
-      // of letting the request rot in the queue.
-      auto plan = current_plan(item);
-      const double free_at = lane_free[static_cast<std::size_t>(free_lane(-1))];
-      const double estimate = std::max(arrival, free_at) + plan->latency_ms;
-      if (estimate > item->req->deadline_ms) {
-        item->resp.verdict = Verdict::kBreakerRejected;
-        item->resp.finish_ms = arrival;
-        item->resp.topo_mask = plan->topo_mask;
-        continue;
-      }
-    }
-    if (pending.size() >= options_.queue_capacity) {
-      item->resp.verdict = Verdict::kRejected;
-      item->resp.finish_ms = arrival;
-    } else {
-      pending.insert(Entry{arrival, item->req->id, 1, item});
-      item->depth_at_admission = pending.size();
-      metrics_.record_queue_depth(pending.size());
-    }
-  }
-  dispatch_until(kInf);
-
-  // --- engine execution of the admitted requests ------------------------
+  // --- engine execution of the committed requests -----------------------
   // Real worker pool fed by the bounded queue: the liveness/TSan surface.
-  // Results land in per-item slots, so thread interleaving cannot affect
+  // Results land in per-ticket slots, so thread interleaving cannot affect
   // anything the report contains.
-  std::vector<EngineOutcome> outcomes(items.size());
+  auto committed = [](const Ticket& t) { return t.response.verdict == Verdict::kCompleted; };
+  std::vector<EngineOutcome> outcomes(tickets.size());
   if (options_.use_engine) {
     std::vector<std::size_t> work_items;
-    for (std::size_t i = 0; i < items.size(); ++i) {
-      if (items[i].execute) work_items.push_back(i);
+    for (std::size_t i = 0; i < tickets.size(); ++i) {
+      if (committed(tickets[i])) work_items.push_back(i);
     }
-    if (!work_items.empty()) {
-      BoundedQueue<std::size_t> work(options_.queue_capacity);
-      std::vector<std::thread> pool;
-      const int workers = std::min<int>(lanes, static_cast<int>(work_items.size()));
-      pool.reserve(static_cast<std::size_t>(workers));
-      for (int w = 0; w < workers; ++w) {
-        pool.emplace_back([&] {
-          while (auto idx = work.pop()) {
-            Item& item = items[*idx];
-            outcomes[*idx] = execute_plan(model(item.req->model), *item.exec_plan);
-          }
-        });
-      }
-      for (std::size_t idx : work_items) work.push(std::size_t{idx});
-      work.close();
-      for (auto& t : pool) t.join();
+    BoundedQueue<std::size_t> work(options_.queue_capacity);
+    std::vector<std::thread> pool;
+    const int workers = std::min<int>(num_lanes(), static_cast<int>(work_items.size()));
+    pool.reserve(static_cast<std::size_t>(workers));
+    for (int w = 0; w < workers; ++w) {
+      pool.emplace_back([&] {
+        while (auto idx = work.pop()) {
+          const Ticket& t = tickets[*idx];
+          outcomes[*idx] = execute_plan(*t.model, *t.exec_plan);
+        }
+      });
     }
+    for (std::size_t idx : work_items) work.push(std::size_t{idx});
+    work.close();
+    for (auto& t : pool) t.join();
   }
 
   // --- assemble report + metrics in request-id order --------------------
   ServeReport report;
   report.timeline.num_gpus = options_.platform.num_gpus;
-  std::vector<std::size_t> by_id(items.size());
+  std::vector<std::size_t> by_id(tickets.size());
   for (std::size_t i = 0; i < by_id.size(); ++i) by_id[i] = i;
-  std::sort(by_id.begin(), by_id.end(), [&](std::size_t a, std::size_t b) {
-    return items[a].resp.id < items[b].resp.id;
-  });
+  std::ranges::sort(by_id, {}, [&](std::size_t i) { return tickets[i].response.id; });
 
   for (std::size_t idx : by_id) {
-    Item& item = items[idx];
-    Response& resp = item.resp;
-    metrics_.on_submitted();
-    if (resp.verdict == Verdict::kRejected) {
-      metrics_.on_rejected();
-    } else if (resp.verdict == Verdict::kBreakerRejected) {
-      metrics_.on_breaker_rejected();
-    } else {
-      metrics_.on_admitted(item.depth_at_admission);
-      for (int r = 0; r < item.retries; ++r) metrics_.on_retried();
-      if (resp.hedged) metrics_.on_hedged();
-      if (resp.hedge_won) metrics_.on_hedge_won();
-      if (item.execute && options_.use_engine) {
-        EngineOutcome& out = outcomes[idx];
-        if (!out.ok) {
-          resp.verdict = Verdict::kFailed;
-          resp.error = out.error;
-          metrics_.on_failed(out.watchdog);
-        } else {
-          resp.outputs = std::move(out.outputs);
-          resp.recovered = resp.recovered || out.recovered;
-          metrics_.on_completed(resp.latency_ms, resp.queue_ms);
-          if (options_.faults != nullptr) metrics_.on_failover(out.recovery);
-          report.timeline.merge(out.timeline.shifted(resp.start_ms));
-        }
-      } else if (resp.verdict == Verdict::kCompleted) {
-        metrics_.on_completed(resp.latency_ms, resp.queue_ms);
-      } else if (resp.verdict == Verdict::kDropped) {
-        metrics_.on_dropped();
+    Ticket& t = tickets[idx];
+    if (options_.use_engine && committed(t)) {
+      EngineOutcome& out = outcomes[idx];
+      if (!out.ok) {
+        Dispatcher::fail(t, out.error, out.watchdog);
       } else {
-        metrics_.on_failed(false);
+        take_outputs(t.response, out);
+        report.timeline.merge(out.timeline.shifted(t.response.start_ms));
       }
     }
-    report.makespan_ms = std::max(report.makespan_ms, resp.finish_ms);
-    report.responses.push_back(std::move(resp));
+    dispatcher.record(t);
+    report.makespan_ms = std::max(report.makespan_ms, t.response.finish_ms);
+    report.responses.push_back(std::move(t.response));
   }
   metrics_.set_makespan(report.makespan_ms);
 
@@ -579,8 +255,14 @@ ServeReport Server::run_trace(const Trace& trace) {
 
 // --- online API ---------------------------------------------------------
 
+struct Server::OnlineItem {
+  Dispatcher::Ticket ticket;
+  std::promise<Response> promise;
+};
+
 void Server::start() {
   if (!workers_.empty()) return;
+  online_ = std::make_unique<Dispatcher>(options_, health_, pool_, metrics_);
   online_queue_ =
       std::make_unique<BoundedQueue<OnlineItem>>(options_.queue_capacity);
   const int lanes = num_lanes();
@@ -592,24 +274,25 @@ void Server::start() {
 
 std::future<Response> Server::submit(Request request) {
   HIOS_CHECK(!workers_.empty(), "Server::submit requires start()");
-  metrics_.on_submitted();
-  OnlineItem item;
-  item.request = std::move(request);
+  OnlineItem item{Dispatcher::Ticket(std::move(request)), {}};
+  Dispatcher::Ticket& t = item.ticket;
   std::future<Response> future = item.promise.get_future();
-  const RequestId id = item.request.id;
-  const double arrival = item.request.arrival_ms;
-  if (online_queue_->try_push(std::move(item))) {
-    metrics_.on_admitted(online_queue_->size());
-    metrics_.record_queue_depth(online_queue_->size());
-  } else {
-    metrics_.on_rejected();
-    Response resp;
-    resp.id = id;
-    resp.verdict = Verdict::kRejected;
-    resp.start_ms = arrival;
-    resp.finish_ms = arrival;
-    item.promise.set_value(std::move(resp));
+  bool admit = false;
+  try {
+    t.model = &model(t.request.model);
+    std::lock_guard<std::mutex> lock(online_mu_);
+    online_->add_model(t.request.model, *t.model);
+    admit = !online_->breaker_sheds(t);
+  } catch (const std::exception& e) {
+    Dispatcher::fail(t, e.what(), false);
   }
+  if (admit && online_queue_->try_push(std::move(item))) {
+    metrics_.record_queue_depth(online_queue_->size());
+    return future;
+  }
+  if (admit) Dispatcher::reject(t);  // full queue
+  online_->record(t);
+  item.promise.set_value(std::move(t.response));
   return future;
 }
 
@@ -619,128 +302,32 @@ void Server::drain() {
   workers_.clear();
 }
 
-void Server::observe_online_failures(const std::string& model_name,
-                                     const std::vector<int>& failed_gpus,
-                                     double at_ms) {
-  if (failed_gpus.empty()) return;
-  std::size_t new_transitions = 0;
-  uint32_t mask = kFullMask;
-  uint64_t epoch = 0;
-  {
-    std::lock_guard<std::mutex> lock(health_mu_);
-    const std::size_t before = health_.transitions().size();
-    for (int g : failed_gpus) {
-      if (g < 0 || g >= health_.num_gpus()) continue;
-      FaultEvidence ev;
-      ev.kind = FaultEvidence::Kind::kFailStop;
-      ev.gpu = g;
-      ev.at_ms = at_ms;
-      ev.detail = "failover-observed fail-stop";
-      health_.observe(ev);
-    }
-    new_transitions = health_.transitions().size() - before;
-    mask = health_.up_mask();
-    epoch = health_.topology_epoch();
-  }
-  for (std::size_t i = 0; i < new_transitions; ++i) metrics_.on_health_transition();
-  if (new_transitions > 0 && options_.prewarm_degraded) {
-    // Prewarm in the observing worker: "background" relative to the other
-    // lanes, which keep serving while the survivor plans build.
-    const std::size_t builds = pool_.prewarm(model(model_name), mask, epoch);
-    metrics_.on_pool_prewarm(builds);
-  }
-}
-
 void Server::online_worker() {
+  using Step = Dispatcher::Step;
   while (auto popped = online_queue_->pop()) {
-    OnlineItem item = std::move(*popped);
-    const Request& req = item.request;
-    Response resp;
-    resp.id = req.id;
+    Dispatcher::Ticket& t = popped->ticket;
     try {
-      {
-        // Optimistic half-open probing: a due probe lets the GPU take
-        // traffic again; the next observed failure re-marks it down.
-        std::lock_guard<std::mutex> lock(health_mu_);
-        for (int g : health_.take_due_probes(req.arrival_ms)) {
-          FaultEvidence ev;
-          ev.kind = FaultEvidence::Kind::kProbeSuccess;
-          ev.gpu = g;
-          ev.at_ms = req.arrival_ms;
-          health_.observe(ev);
-          metrics_.on_probe(true);
+      t.plan = resolve_plan(*t.model);
+      for (Step step = Step::kRetry; step != Step::kDone;) {
+        if (step == Step::kRetry) {
+          std::lock_guard<std::mutex> lock(online_mu_);
+          step = online_->dispatch(t);
+          continue;
         }
-      }
-      const int attempts_allowed = 1 + std::max(0, options_.max_retries);
-      std::shared_ptr<const CachedPlan> plan;
-      EngineOutcome out;
-      for (int attempt = 1; attempt <= attempts_allowed; ++attempt) {
-        uint32_t mask = kFullMask;
-        uint64_t epoch = 0;
-        bool all_up = true;
-        {
-          std::lock_guard<std::mutex> lock(health_mu_);
-          mask = health_.up_mask();
-          epoch = health_.topology_epoch();
-          all_up = health_.all_up();
-        }
-        if (all_up && epoch == 0) {
-          plan = resolve_plan(req.model);
-        } else {
-          bool hit = false;
-          plan = pool_.plan_for(model(req.model), mask, epoch, &hit);
-          metrics_.on_pool_result(hit);
-        }
-        resp.attempts = attempt;
-        if (options_.use_engine) {
-          out = execute_plan(model(req.model), *plan);
-        } else {
-          out = EngineOutcome{};
-          out.ok = true;
-        }
+        if (!options_.use_engine) break;
+        EngineOutcome out = execute_plan(*t.model, *t.exec_plan);
         if (out.ok) {
-          if (options_.use_engine && options_.faults != nullptr) {
-            metrics_.on_failover(out.recovery);
-            // Schedule-device ids -> platform GPU ids through the plan's
-            // survivor list before they become shared health evidence.
-            std::vector<int> failed;
-            for (int g : out.recovery.failed_gpus) {
-              if (g >= 0 && g < static_cast<int>(plan->gpus.size())) {
-                failed.push_back(plan->gpus[static_cast<std::size_t>(g)]);
-              }
-            }
-            observe_online_failures(req.model, failed, req.arrival_ms);
-          }
+          take_outputs(t.response, out);
           break;
         }
-        if (attempt < attempts_allowed) metrics_.on_retried();
-      }
-      resp.base_ms = plan->latency_ms;
-      resp.start_ms = req.arrival_ms;
-      resp.topo_mask = plan->topo_mask;
-      if (!out.ok) {
-        resp.verdict = Verdict::kFailed;
-        resp.error = out.error;
-        metrics_.on_failed(out.watchdog);
-      } else {
-        resp.finish_ms = req.arrival_ms + plan->latency_ms;
-        resp.latency_ms = plan->latency_ms;
-        resp.outputs = std::move(out.outputs);
-        resp.recovered = out.recovered || resp.attempts > 1;
-        if (resp.finish_ms > req.deadline_ms) {
-          resp.verdict = Verdict::kDropped;
-          metrics_.on_dropped();
-        } else {
-          resp.verdict = Verdict::kCompleted;
-          metrics_.on_completed(resp.latency_ms, resp.queue_ms);
-        }
+        std::lock_guard<std::mutex> lock(online_mu_);
+        step = online_->engine_failed(t, out.error, out.watchdog);
       }
     } catch (const std::exception& e) {
-      resp.verdict = Verdict::kFailed;
-      resp.error = e.what();
-      metrics_.on_failed(false);
+      Dispatcher::fail(t, e.what(), false);
     }
-    item.promise.set_value(std::move(resp));
+    online_->record(t);
+    popped->promise.set_value(std::move(t.response));
   }
 }
 

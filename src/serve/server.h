@@ -4,47 +4,32 @@
 // inference; a serving system multiplexes many. The server adds the
 // request level on top of the per-request machinery:
 //
-//   * Admission: a bounded MPMC queue with per-request deadlines. A full
-//     queue rejects (overload shedding); an admitted request whose deadline
-//     cannot be met at dispatch time is dropped without executing; under a
-//     degraded topology a circuit breaker sheds requests whose deadline no
-//     survivor plan can meet (kBreakerRejected).
+//   * Admission: a bounded MPMC queue with per-request deadlines; a full
+//     queue rejects, a request that would miss its deadline is dropped
+//     before it executes, and while degraded a circuit breaker sheds
+//     requests no survivor plan can serve in time (kBreakerRejected).
 //   * Stream slots: `slots_per_gpu` lanes, each spanning the whole vGPU
-//     set, execute up to K requests concurrently — the modelled analogue of
-//     running K CUDA streams per GPU (§III-A's L). Overlapping requests
-//     contend for the modelled GPUs through the same malleable-task
-//     contention formula the cost model uses for intra-stage concurrency
-//     (cost::contention_stage_time, the Fig. 1 experiment): a request
-//     dispatched while k-1 others are in flight runs
-//     stream_contention_scale(k, demand, kappa) times slower.
+//     set — the modelled analogue of K CUDA streams per GPU (§III-A's L).
+//     A request dispatched while k-1 others are in flight runs
+//     stream_contention_scale(k, demand, kappa) times slower: the cost
+//     model's malleable-task contention formula (Fig. 1).
 //   * Schedule cache + plan pool: (model fingerprint, nGPU, algorithm,
-//     window, topology) -> plan, so repeat requests skip profiling +
-//     scheduling entirely — including requests planned around a dead GPU,
-//     whose survivor plans the PlanPool prewarms on health transitions.
-//   * Health (DESIGN.md §6f): a HealthTracker owns fault state *across*
-//     requests — the first failure marks the GPU down for everyone, later
-//     requests are planned on the survivors, deterministic probes bring
-//     the GPU back. Failed requests retry with exponential backoff onto
-//     the survivor plan (bounded, deadline-aware); slow requests may hedge
-//     a second dispatch on a p99-based trigger.
-//   * Metrics: serve::Metrics counters + tail-latency reservoirs, threaded
-//     through the engine (watchdog fires), failover (recoveries), and the
-//     resilience layer (retried / hedged / hedge_won / breaker_rejected).
+//     window, topology) -> plan, so repeat requests skip profiling and
+//     scheduling, including survivor plans prewarmed on health transitions.
+//   * Health (DESIGN.md §6f): GPU outages are shared across requests; later
+//     requests plan on the survivors, probes bring the GPU back, victims
+//     retry with backoff (deadline-aware), slow requests may hedge.
+//   * Metrics: serve::Metrics counters and tail-latency reservoirs.
 //
-// Two entry points share those pieces:
-//   * run_trace(trace) — deterministic serving of a virtual-time request
-//     trace. Admission, dispatch, contention, health transitions, probes,
-//     retries, and every metric are computed in virtual time (bit-identical
-//     across reruns and thread counts); engine execution of the admitted
-//     requests still runs on a real worker pool fed by the bounded queue,
-//     proving the tensors. GPU failures come from ServerOptions::outages
-//     (server-virtual-time windows shared by all requests).
-//   * start()/submit()/drain() — online API: callers race submit() against
-//     the bounded queue from any thread; lane workers execute and fulfil
-//     futures. Wall-clock-concurrent, conservation-exact, but completion
-//     order (hence reservoir insertion order) is scheduling-dependent.
-//     Health state is fed from observed failover recoveries and shared
-//     across lanes under a mutex.
+// Every per-request decision above is one serve::Dispatcher
+// (dispatcher.h), in virtual time, behind two thin drivers:
+//   * run_trace(trace) — deterministic: arrivals in (arrival, id) order,
+//     every verdict and metric bit-identical across reruns and thread
+//     counts; the committed requests then run on a real engine worker pool.
+//   * start()/submit()/drain() — online: submit() applies the breaker and
+//     races the bounded queue from any thread; lanes take each dispatch
+//     decision under one mutex and run the engine outside it. Same policy
+//     and conservation laws; decision order follows thread scheduling.
 #pragma once
 
 #include <future>
@@ -65,6 +50,8 @@
 #include "sim/timeline.h"
 
 namespace hios::serve {
+
+class Dispatcher;
 
 /// Serving configuration.
 struct ServerOptions {
@@ -151,14 +138,16 @@ class Server {
   const ops::Model& model(const std::string& name) const;
 
   /// Deterministic virtual-time serving of a trace (see file comment).
+  /// Throws hios::Error while online lanes are running (between start()
+  /// and drain()): both drivers share the health state.
   ServeReport run_trace(const Trace& trace);
 
   // --- online API -----------------------------------------------------
   /// Spawns the lane workers. Idempotent.
   void start();
   /// Admission-checks and enqueues; the future resolves when a lane
-  /// finishes the request (immediately, with kRejected, when the queue is
-  /// full). Requires start().
+  /// finishes the request (immediately when the breaker sheds it, the
+  /// queue is full, or the model is unknown). Requires start().
   std::future<Response> submit(Request request);
   /// Closes the queue, lets workers drain every admitted request, joins.
   void drain();
@@ -182,20 +171,16 @@ class Server {
     sim::Timeline timeline;
     runtime::RecoveryMetrics recovery;
   };
-  struct OnlineItem {
-    Request request;
-    std::promise<Response> promise;
-  };
+  struct OnlineItem;
 
   static ServerOptions validated(ServerOptions options);
   static sched::SchedulerConfig effective_config(const ServerOptions& options);
 
-  std::shared_ptr<const CachedPlan> resolve_plan(const std::string& model_name);
+  std::shared_ptr<const CachedPlan> resolve_plan(const ops::Model& model);
   EngineOutcome execute_plan(const ops::Model& model, const CachedPlan& plan);
+  /// Moves a successful engine run's tensors into the response.
+  void take_outputs(Response& response, EngineOutcome& out);
   void online_worker();
-  /// Online path: observed failed GPUs -> health evidence + prewarm.
-  void observe_online_failures(const std::string& model_name,
-                               const std::vector<int>& failed_gpus, double at_ms);
 
   ServerOptions options_;
   sched::SchedulerConfig config_;  ///< options_.config with num_gpus applied
@@ -203,10 +188,11 @@ class Server {
   Metrics metrics_;
   HealthTracker health_;
   PlanPool pool_;
-  mutable std::mutex health_mu_;   ///< guards health_ on the online path
   std::map<std::string, ops::Model> models_;
   mutable std::mutex models_mu_;
 
+  std::unique_ptr<Dispatcher> online_;  ///< the online lanes' policy
+  std::mutex online_mu_;                ///< guards online_ (and health_ through it)
   std::unique_ptr<BoundedQueue<OnlineItem>> online_queue_;
   std::vector<std::thread> workers_;
 };

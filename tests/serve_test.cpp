@@ -5,6 +5,7 @@
 #include <thread>
 
 #include "cost/cost_model.h"
+#include "fault/fault_plan.h"
 #include "models/examples.h"
 #include "serve/metrics.h"
 #include "serve/queue.h"
@@ -375,6 +376,111 @@ TEST(Server, UnknownModelFailsTheRequestNotTheServer) {
   EXPECT_EQ(r.verdict, Verdict::kFailed);
   EXPECT_NE(r.error.find("unknown model"), std::string::npos);
   EXPECT_TRUE(server.metrics().snapshot().conserved());
+}
+
+TEST(Server, OnlineDropsUnmeetableDeadlineWithoutExecuting) {
+  // Every engine run of this plan hits the fail-stop and counts one
+  // failover, so the failover counter is the number of engine runs.
+  fault::FaultPlan plan;
+  plan.fail_stops.push_back(fault::FailStop{0, 0.0});
+  ServerOptions opt;
+  opt.platform = cost::make_a40_server(2);
+  opt.slots_per_gpu = 1;
+  opt.faults = &plan;
+  Server server(opt);
+  server.register_model("tiny", tiny_model());
+  server.start();
+  auto missed = server.submit({0, "tiny", 0.0, 1e-9});
+  auto served = server.submit({1, "tiny", 0.0, kNoDeadline});
+  server.drain();
+
+  const Response ok = served.get();
+  EXPECT_EQ(ok.verdict, Verdict::kCompleted);
+  EXPECT_FALSE(ok.outputs.empty());
+  const Response r = missed.get();
+  EXPECT_EQ(r.verdict, Verdict::kDropped);
+  EXPECT_TRUE(r.outputs.empty()) << "a dropped request must never execute";
+  EXPECT_GT(r.base_ms, 0.0);
+  const Metrics::Snapshot s = server.metrics().snapshot();
+  EXPECT_EQ(s.failovers, 1) << "the engine ran for the dropped request";
+  EXPECT_EQ(s.dropped, 1);
+  EXPECT_TRUE(s.conserved());
+}
+
+TEST(Server, OnlineLanesMatchTheTraceDriver) {
+  // One lane, no faults, a queue that never fills: submitting in (arrival,
+  // id) order must reproduce run_trace's virtual timeline field for field.
+  ServerOptions opt = sim_options(2, 1);
+  opt.queue_capacity = 64;
+  double base = 0.0;
+  {
+    Server probe(opt);
+    probe.register_model("tiny", tiny_model());
+    Trace one;
+    one.requests.push_back({0, "tiny", 0.0, kNoDeadline});
+    base = probe.run_trace(one).responses[0].base_ms;
+  }
+  ASSERT_GT(base, 0.0);
+  Trace trace;
+  for (int i = 0; i < 32; ++i) {
+    // Arrivals outpace the lane, so queueing builds up; every fourth
+    // deadline is unmeetable, every fourth is met only while the queue is short.
+    double deadline = kNoDeadline;
+    const double arrival = 0.5 * base * (i / 2);
+    if (i % 4 == 1) deadline = arrival + 1e-9;
+    if (i % 4 == 2) deadline = arrival + 3.0 * base;
+    trace.requests.push_back({i, "tiny", arrival, deadline});
+  }
+
+  Server offline(opt);
+  offline.register_model("tiny", tiny_model());
+  const ServeReport report = offline.run_trace(trace);
+
+  Server online(opt);
+  online.register_model("tiny", tiny_model());
+  online.start();
+  std::vector<std::future<Response>> futures;
+  for (const Request& r : trace.requests) futures.push_back(online.submit(r));
+  online.drain();
+
+  ASSERT_EQ(report.responses.size(), futures.size());
+  int dropped = 0;
+  for (std::size_t i = 0; i < futures.size(); ++i) {
+    const Response x = futures[i].get();
+    const Response& y = report.responses[i];
+    SCOPED_TRACE("request " + std::to_string(y.id));
+    EXPECT_EQ(x.id, y.id);
+    EXPECT_EQ(x.verdict, y.verdict);
+    EXPECT_EQ(x.lane, y.lane);
+    EXPECT_EQ(x.concurrency, y.concurrency);
+    EXPECT_EQ(x.queue_ms, y.queue_ms);
+    EXPECT_EQ(x.start_ms, y.start_ms);
+    EXPECT_EQ(x.finish_ms, y.finish_ms);
+    EXPECT_EQ(x.latency_ms, y.latency_ms);
+    EXPECT_EQ(x.base_ms, y.base_ms);
+    EXPECT_EQ(x.contention_scale, y.contention_scale);
+    EXPECT_EQ(x.attempts, y.attempts);
+    EXPECT_EQ(x.topo_mask, y.topo_mask);
+    dropped += y.verdict == Verdict::kDropped;
+  }
+  EXPECT_GT(dropped, 8) << "the trace must exercise deadline drops";
+  EXPECT_GT(report.responses.back().queue_ms, 0.0);
+  const Metrics::Snapshot a = offline.metrics().snapshot();
+  const Metrics::Snapshot b = online.metrics().snapshot();
+  EXPECT_EQ(a.completed, b.completed);
+  EXPECT_EQ(a.dropped, b.dropped);
+  EXPECT_TRUE(b.conserved());
+}
+
+TEST(Server, RunTraceRefusesWhileOnlineLanesRun) {
+  Server server(sim_options(2, 1));
+  server.register_model("tiny", tiny_model());
+  Trace trace;
+  trace.requests.push_back({0, "tiny", 0.0, kNoDeadline});
+  server.start();
+  EXPECT_THROW(server.run_trace(trace), Error);
+  server.drain();
+  EXPECT_EQ(server.run_trace(trace).responses.at(0).verdict, Verdict::kCompleted);
 }
 
 }  // namespace
