@@ -4,6 +4,7 @@
 #include <chrono>
 #include <exception>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <thread>
 #include <unordered_map>
@@ -11,6 +12,7 @@
 #include "ops/kernels.h"
 #include "runtime/channel.h"
 #include "sched/validate.h"
+#include "sim/fault_sim.h"
 #include "util/rng.h"
 
 namespace hios::runtime {
@@ -19,10 +21,10 @@ namespace {
 
 /// A tensor in flight between vGPUs, stamped with its virtual arrival time
 /// (producer stage finish + modelled transfer, including any fault retries).
+/// A transfer whose retry budget runs out closes its channel instead.
 struct Message {
   std::shared_ptr<const ops::Tensor> tensor;
   double ready_ms = 0.0;
-  bool delivered = true;  ///< false: the link's retry budget was exhausted
 };
 
 }  // namespace
@@ -64,7 +66,8 @@ ExecutionResult execute_schedule(const ops::Model& model, const graph::Graph& gr
   sched::check_schedule(graph, schedule);
   const std::size_t n = graph.num_nodes();
   const std::vector<int> gpu_of = schedule.gpu_assignment(n);
-  const fault::FaultPlan* plan = options.faults;
+  const fault::FaultPlan no_faults;
+  const fault::FaultPlan& plan = options.faults ? *options.faults : no_faults;
 
   const auto deadline =
       options.watchdog_ms > 0.0
@@ -115,45 +118,34 @@ ExecutionResult execute_schedule(const ops::Model& model, const graph::Graph& gr
     channels.emplace(e, std::move(chan));
   }
 
-  struct WorkerOutput {
-    double makespan = 0.0;
-    std::vector<sim::TimelineEvent> events;
-    std::map<ops::OpId, ops::Tensor> sink_outputs;
-    std::map<ops::OpId, std::shared_ptr<const ops::Tensor>> computed;
-    std::vector<graph::NodeId> executed;
-    std::vector<double> finish_ms;  // parallel to executed
-    std::vector<fault::FaultObservation> observations;
-    std::exception_ptr error;
-  };
-  std::vector<WorkerOutput> worker_out(static_cast<std::size_t>(schedule.num_gpus));
+  // Every time, event and observation comes from the worker's VirtualGpu;
+  // the worker itself moves tensors. Each worker writes only its own nodes'
+  // slots of `produced`.
+  std::vector<sim::VirtualGpu> vgpus;
+  vgpus.reserve(static_cast<std::size_t>(schedule.num_gpus));
+  for (int i = 0; i < schedule.num_gpus; ++i) vgpus.emplace_back(graph, cost, plan, i);
+  std::vector<std::shared_ptr<const ops::Tensor>> produced(n);
+  std::vector<std::exception_ptr> errors(static_cast<std::size_t>(schedule.num_gpus));
 
   auto worker = [&](int me) {
-    WorkerOutput& out = worker_out[static_cast<std::size_t>(me)];
+    sim::VirtualGpu& vgpu = vgpus[static_cast<std::size_t>(me)];
     const auto& stages = schedule.gpus[static_cast<std::size_t>(me)];
-    const double fail_ms = plan ? plan->fail_time(me) : fault::kNever;
     // First stage this worker did NOT fully send: its outgoing channels
     // (and all later ones) are closed when the worker exits early.
     std::size_t stop_stage = stages.size();
     try {
       std::unordered_map<graph::NodeId, std::shared_ptr<const ops::Tensor>> local;
-      std::unordered_map<graph::NodeId, double> local_ready;  // producer stage finish
-      double clock = 0.0;
       for (std::size_t si = 0; si < stages.size(); ++si) {
         const sched::Stage& stage = stages[si];
-        double start = clock;
-        // Gather every remote dependency of this stage (blocking recv per
-        // edge) and fold local producers' stage-finish times. A closed
-        // channel or an undeliverable transfer marks the stage — and with
-        // it this worker — as permanently blocked.
-        bool dep_failed = false;
+        // Receive every remote dependency of this stage (blocking recv per
+        // edge). A closed channel means the tensor will never arrive and
+        // blocks this worker for good.
+        double start = vgpu.clock();
         for (graph::NodeId v : stage.ops) {
-          if (dep_failed) break;
           for (graph::EdgeId e : graph.in_edges(v)) {
             const graph::Edge& edge = graph.edge(e);
-            if (gpu_of[static_cast<std::size_t>(edge.src)] == me) {
-              start = std::max(start, local_ready.at(edge.src));
-              continue;
-            }
+            const int src_gpu = gpu_of[static_cast<std::size_t>(edge.src)];
+            if (src_gpu == me) continue;
             Message msg;
             const RecvStatus st = channels.at(e)->recv_until(msg, deadline);
             if (st == RecvStatus::kTimeout) {
@@ -161,30 +153,16 @@ ExecutionResult execute_schedule(const ops::Model& model, const graph::Graph& gr
                                   " waiting for '" + graph.node_name(edge.src) + "' -> '" +
                                   graph.node_name(edge.dst) + "'");
             }
-            if (st == RecvStatus::kClosed || !msg.delivered) {
-              out.observations.push_back(fault::FaultObservation{
-                  fault::FaultObservation::Kind::kBlocked, me,
-                  gpu_of[static_cast<std::size_t>(edge.src)], clock,
-                  "gpu " + std::to_string(me) + " blocked: dependency '" +
-                      graph.node_name(edge.src) + "' will never arrive"});
-              dep_failed = true;
+            if (st == RecvStatus::kClosed) {
+              vgpu.block(edge.src, src_gpu);
               break;
             }
             start = std::max(start, msg.ready_ms);
             local[edge.src] = std::move(msg.tensor);  // cache for this consumer
           }
+          if (vgpu.stopped()) break;
         }
-        if (dep_failed) {
-          stop_stage = si;
-          break;
-        }
-        // Fail-stop: the GPU dies before any stage starting at/after its
-        // fail time (a stage that started earlier runs to completion).
-        if (start >= fail_ms) {
-          out.observations.push_back(fault::FaultObservation{
-              fault::FaultObservation::Kind::kFailStop, me, -1, fail_ms,
-              "gpu " + std::to_string(me) + " fail-stop at " + std::to_string(fail_ms) +
-                  " ms before stage " + std::to_string(si)});
+        if (vgpu.stopped() || vgpu.fail_stop_before(start, static_cast<int>(si))) {
           stop_stage = si;
           break;
         }
@@ -210,63 +188,22 @@ ExecutionResult execute_schedule(const ops::Model& model, const graph::Graph& gr
           local[v] = std::make_shared<const ops::Tensor>(
               ops::execute_op(model.op(op_id), in_tensors, static_cast<uint64_t>(op_id)));
         }
-        const double scale = plan ? plan->compute_scale(me, start) : 1.0;
-        const double finish =
-            start +
-            cost.stage_time_on(graph, std::span<const graph::NodeId>(stage.ops), me) * scale;
-        clock = finish;
+        vgpu.run_stage(stage.ops, static_cast<int>(si), start);
         for (graph::NodeId v : stage.ops) {
-          local_ready[v] = finish;
-          out.executed.push_back(v);
-          out.finish_ms.push_back(finish);
-          if (plan) out.computed.emplace(op_of[static_cast<std::size_t>(v)], local.at(v));
-          out.events.push_back(sim::TimelineEvent{sim::TimelineEvent::Kind::kCompute,
-                                                  graph.node_name(v), me, -1,
-                                                  static_cast<int>(si), start, finish});
-          // Forward to remote consumers; collect sink outputs.
+          vgpu.ran(v);
+          produced[static_cast<std::size_t>(v)] = local.at(v);
           for (graph::EdgeId e : graph.out_edges(v)) {
-            const graph::Edge& edge = graph.edge(e);
-            const int dst_gpu = gpu_of[static_cast<std::size_t>(edge.dst)];
+            const int dst_gpu = gpu_of[static_cast<std::size_t>(graph.edge(e).dst)];
             if (dst_gpu == me) continue;
-            const double base = cost.transfer_time(graph, e, me, dst_gpu);
-            const std::string name =
-                graph.node_name(v) + "->" + graph.node_name(edge.dst);
-            if (!plan) {
-              channels.at(e)->send(Message{local.at(v), finish + base, true});
-              out.events.push_back(sim::TimelineEvent{
-                  sim::TimelineEvent::Kind::kTransfer, name, me, dst_gpu, -1, finish,
-                  finish + base});
-              continue;
-            }
-            const fault::TransferResolution res =
-                plan->resolve_transfer(me, dst_gpu, finish, base);
-            for (const fault::TransferAttempt& a : res.attempts) {
-              if (a.ok) continue;
-              out.events.push_back(sim::TimelineEvent{
-                  sim::TimelineEvent::Kind::kRetry, name + " (retry)", me, dst_gpu, -1,
-                  a.at_ms, a.at_ms + a.backoff_ms});
-            }
-            if (res.delivered) {
-              channels.at(e)->send(Message{local.at(v), res.arrival_ms, true});
-              out.events.push_back(sim::TimelineEvent{
-                  sim::TimelineEvent::Kind::kTransfer, name, me, dst_gpu, -1,
-                  res.attempts.back().at_ms, res.arrival_ms});
-            } else {
-              channels.at(e)->send(Message{nullptr, res.arrival_ms, false});
-              out.observations.push_back(fault::FaultObservation{
-                  fault::FaultObservation::Kind::kTransferFailed, me, dst_gpu, finish,
-                  "transfer '" + name + "' failed after " +
-                      std::to_string(res.attempts.size()) + " attempts"});
-            }
-          }
-          if (graph.out_degree(v) == 0) {
-            out.sink_outputs.emplace(op_of[static_cast<std::size_t>(v)], *local.at(v));
+            if (const std::optional<double> arrival = vgpu.send(e, dst_gpu))
+              channels.at(e)->send(Message{local.at(v), *arrival});
+            else
+              channels.at(e)->close();
           }
         }
       }
-      out.makespan = clock;
     } catch (...) {
-      out.error = std::current_exception();
+      errors[static_cast<std::size_t>(me)] = std::current_exception();
       // Conservative: close everything this worker could still owe.
       stop_stage = 0;
     }
@@ -282,28 +219,25 @@ ExecutionResult execute_schedule(const ops::Model& model, const graph::Graph& gr
   threads.reserve(static_cast<std::size_t>(schedule.num_gpus));
   for (int i = 0; i < schedule.num_gpus; ++i) threads.emplace_back(worker, i);
   for (auto& t : threads) t.join();
-  for (const auto& out : worker_out) {
-    if (out.error) std::rethrow_exception(out.error);
+  for (const std::exception_ptr& error : errors) {
+    if (error) std::rethrow_exception(error);
   }
 
+  sim::FaultyRun run = sim::VirtualGpu::collect(vgpus, n);
   ExecutionResult result;
-  result.executed.assign(n, 0);
-  result.node_finish_ms.assign(n, -1.0);
-  result.timeline.num_gpus = schedule.num_gpus;
-  for (auto& out : worker_out) {
-    result.latency_ms = std::max(result.latency_ms, out.makespan);
-    for (auto& ev : out.events) result.timeline.events.push_back(std::move(ev));
-    for (auto& [op_id, tensor] : out.sink_outputs) result.outputs.emplace(op_id, tensor);
-    for (auto& [op_id, tensor] : out.computed) result.computed.emplace(op_id, tensor);
-    for (std::size_t i = 0; i < out.executed.size(); ++i) {
-      result.executed[static_cast<std::size_t>(out.executed[i])] = 1;
-      result.node_finish_ms[static_cast<std::size_t>(out.executed[i])] = out.finish_ms[i];
-    }
-    for (auto& obs : out.observations) result.fault_events.push_back(std::move(obs));
+  result.latency_ms = run.makespan_ms;
+  result.timeline = std::move(run.timeline);
+  result.complete = run.complete;
+  result.executed = std::move(run.executed);
+  result.node_finish_ms = std::move(run.node_finish_ms);
+  result.fault_events = std::move(run.observations);
+  for (graph::NodeId v = 0; v < static_cast<graph::NodeId>(n); ++v) {
+    if (!result.executed[static_cast<std::size_t>(v)]) continue;
+    const ops::OpId op_id = op_of[static_cast<std::size_t>(v)];
+    const auto& tensor = produced[static_cast<std::size_t>(v)];
+    if (graph.out_degree(v) == 0) result.outputs.emplace(op_id, *tensor);
+    if (options.faults) result.computed.emplace(op_id, tensor);
   }
-  result.complete =
-      std::all_of(result.executed.begin(), result.executed.end(), [](char c) { return c; });
-  result.timeline.latency_ms = result.latency_ms;
   if (!result.complete && !options.allow_partial) {
     std::ostringstream os;
     os << "execution incomplete under fault injection: "

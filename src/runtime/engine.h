@@ -6,20 +6,22 @@
 // dependencies travel over per-edge blocking channels, exactly like the
 // matched MPI send/recv pairs in the paper's engine. Time is *virtual*:
 // each message carries the producing stage's finish time plus the modelled
-// transfer time, and each vGPU advances a local clock using the same cost
-// model the scheduler optimised against. The result is deterministic
-// regardless of thread interleaving and provably equal to the stage-level
-// simulator — while the tensors prove the schedule computes exactly what
-// sequential execution computes.
+// transfer time, and each worker advances a sim::VirtualGpu clock — the one
+// implementation of stage timing under faults, which sim::simulate_stages_faulty
+// drives too — using the cost model the scheduler optimised against. The
+// result is deterministic regardless of thread interleaving and equal, event
+// for event, to the stage-level simulator — while the tensors prove the
+// schedule computes exactly what sequential execution computes.
 //
 // Hardened runtime: the engine is hang-proof. A worker that throws, dies to
 // an injected fail-stop, or loses a dependency closes every channel it will
-// never feed, so peers unblock with a structured hios::Error instead of
-// waiting forever; a wall-clock watchdog bounds every receive as a last
-// line of defence. Fault injection (fault::FaultPlan) drives fail-stop /
-// straggler / link faults deterministically in virtual time; transient
-// transfer faults are retried with capped exponential backoff and every
-// attempt is recorded in the Timeline.
+// never feed (as does a transfer whose retry budget runs out), so peers
+// unblock with a structured observation instead of waiting forever; a
+// wall-clock watchdog bounds every receive as a last line of defence. Fault
+// injection (fault::FaultPlan) drives fail-stop / straggler / link faults
+// deterministically in virtual time; transient transfer faults are retried
+// with capped exponential backoff and every attempt is recorded in the
+// Timeline.
 #pragma once
 
 #include <map>

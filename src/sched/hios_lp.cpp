@@ -9,7 +9,6 @@
 #include "graph/longest_path.h"
 #include "sched/core/list_state.h"
 #include "sched/evaluate.h"
-#include "sched/list_schedule.h"
 #include "sched/parallelize.h"
 #include "util/bitset.h"
 
@@ -56,18 +55,21 @@ ScheduleResult HiosLpScheduler::schedule(const graph::Graph& g, const cost::Cost
     for (graph::NodeId v : path->nodes) trial.set_gpu(v, best_gpu);
   }
 
-  ListScheduleResult placed = list_schedule(g, trial.mapping(), order, m, cached);
+  // The list schedule of the final mapping: each GPU runs its nodes one per
+  // stage in priority order.
+  Schedule placed(m);
+  for (graph::NodeId v : order) placed.push_op(trial.mapping()[static_cast<std::size_t>(v)], v);
   ScheduleResult result;
   result.algorithm = name();
   if (apply_intra_ && config.apply_intra) {
-    ParallelizeResult intra = parallelize(cg, std::move(placed.schedule), cached,
+    ParallelizeResult intra = parallelize(cg, std::move(placed), cached,
                                           std::min(config.window, config.max_streams));
     result.schedule = std::move(intra.schedule);
     result.latency_ms = intra.latency_ms;
   } else {
-    auto eval = evaluate_schedule(g, placed.schedule, cached);
+    auto eval = evaluate_schedule(g, placed, cached);
     HIOS_ASSERT(eval.has_value(), "list schedule cannot deadlock");
-    result.schedule = std::move(placed.schedule);
+    result.schedule = std::move(placed);
     result.latency_ms = eval->latency_ms;
   }
   result.scheduling_ms =

@@ -1,5 +1,7 @@
 #include "sched/schedule.h"
 
+#include <limits>
+
 namespace hios::sched {
 
 std::vector<int> Schedule::gpu_assignment(std::size_t num_nodes) const {
@@ -73,15 +75,21 @@ Json Schedule::to_json(const graph::Graph& g) const {
 }
 
 Schedule Schedule::from_json(const Json& json) {
-  Schedule schedule(static_cast<int>(json.at("num_gpus").as_int()));
+  // Both counts come from an untrusted file: check them before allocating.
+  const int64_t num_gpus = json.at("num_gpus").as_int();
   const auto& gpu_array = json.at("gpus").as_array();
-  HIOS_CHECK(gpu_array.size() == static_cast<std::size_t>(schedule.num_gpus),
-             "schedule JSON: gpus array size mismatch");
+  HIOS_CHECK(num_gpus >= 0 && static_cast<uint64_t>(num_gpus) == gpu_array.size(),
+             "schedule JSON: num_gpus is " << num_gpus << " but the gpus array holds "
+                                           << gpu_array.size() << " lists");
+  Schedule schedule(static_cast<int>(num_gpus));
   for (std::size_t i = 0; i < gpu_array.size(); ++i) {
     for (const Json& stage_json : gpu_array[i].as_array()) {
       Stage stage;
       for (const Json& op : stage_json.as_array()) {
-        stage.ops.push_back(static_cast<graph::NodeId>(op.at("id").as_int()));
+        const int64_t id = op.at("id").as_int();
+        HIOS_CHECK(id >= 0 && id <= std::numeric_limits<graph::NodeId>::max(),
+                   "schedule JSON: node id " << id << " out of range");
+        stage.ops.push_back(static_cast<graph::NodeId>(id));
       }
       schedule.gpus[i].push_back(std::move(stage));
     }

@@ -48,7 +48,8 @@ struct Schedule {
 
   /// Parses a schedule previously produced by to_json. Node ids are matched
   /// by the "id" field; validation against `g` is the caller's job
-  /// (see validate_schedule).
+  /// (see validate_schedule). Throws hios::Error when num_gpus differs from
+  /// the number of GPU lists or a node id is negative or beyond NodeId.
   static Schedule from_json(const Json& json);
 };
 

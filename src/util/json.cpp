@@ -18,7 +18,11 @@ double Json::as_number() const {
   return std::get<double>(value_);
 }
 
-int64_t Json::as_int() const { return static_cast<int64_t>(std::llround(as_number())); }
+int64_t Json::as_int() const {
+  const double v = as_number();
+  HIOS_CHECK(v >= -0x1p63 && v < 0x1p63, "Json: " << v << " is out of the integer range");
+  return static_cast<int64_t>(std::llround(v));
+}
 
 const std::string& Json::as_string() const {
   HIOS_CHECK(is_string(), "Json: not a string");
@@ -164,6 +168,10 @@ namespace {
 
 class Parser {
  public:
+  /// Deepest array/object nesting accepted. The parser recurses once per
+  /// level, so an unbounded depth lets a hostile file overflow the stack.
+  static constexpr int kMaxDepth = 256;
+
   explicit Parser(const std::string& text) : text_(text) {}
 
   Json parse_document() {
@@ -198,9 +206,16 @@ class Parser {
   }
 
   Json parse_value() {
-    switch (peek()) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+    const char c = peek();
+    if (c == '{' || c == '[') {
+      HIOS_CHECK(depth_ < kMaxDepth,
+                 "Json: nesting deeper than " << kMaxDepth << " at offset " << pos_);
+      ++depth_;
+      Json value = c == '{' ? parse_object() : parse_array();
+      --depth_;
+      return value;
+    }
+    switch (c) {
       case '"': return Json(parse_string());
       case 't': return parse_literal("true", Json(true));
       case 'f': return parse_literal("false", Json(false));
@@ -316,6 +331,7 @@ class Parser {
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace

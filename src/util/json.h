@@ -66,7 +66,8 @@ class Json {
   /// Serialises compactly, or with 2-space indentation when pretty=true.
   std::string dump(bool pretty = false) const;
 
-  /// Parses a complete JSON document; throws hios::Error on malformed input.
+  /// Parses a complete JSON document; throws hios::Error on malformed input,
+  /// including arrays/objects nested more than 256 deep.
   static Json parse(const std::string& text);
 
   bool operator==(const Json& other) const { return value_ == other.value_; }

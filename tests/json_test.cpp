@@ -80,6 +80,25 @@ TEST(Json, MalformedInputsThrow) {
   EXPECT_THROW(Json::parse("1e"), Error);
 }
 
+TEST(Json, DeepNestingThrowsInsteadOfOverflowingTheStack) {
+  // 200,000 '[' used to recurse once per level and crash the process.
+  EXPECT_THROW(Json::parse(std::string(200000, '[')), Error);
+  EXPECT_THROW(Json::parse(std::string(100000, '{') + "\"a\":"), Error);
+  // The limit is 256 levels: the deepest accepted document parses.
+  const auto nested = [](int depth) {
+    return std::string(static_cast<std::size_t>(depth), '[') +
+           std::string(static_cast<std::size_t>(depth), ']');
+  };
+  EXPECT_NO_THROW(Json::parse(nested(256)));
+  EXPECT_THROW(Json::parse(nested(257)), Error);
+}
+
+TEST(Json, AsIntRejectsOutOfRangeNumbers) {
+  EXPECT_EQ(Json::parse("99999999999").as_int(), 99999999999);
+  EXPECT_THROW(Json::parse("1e300").as_int(), Error);
+  EXPECT_THROW(Json::parse("-1e19").as_int(), Error);
+}
+
 TEST(Json, TypeMismatchThrows) {
   const Json j = Json::parse("[1]");
   EXPECT_THROW(j.as_object(), Error);

@@ -67,6 +67,23 @@ TEST(Schedule, FromJsonValidatesShape) {
   EXPECT_THROW(Schedule::from_json(j), Error);
 }
 
+TEST(Schedule, FromJsonChecksCountsBeforeAllocating) {
+  // A huge num_gpus used to be truncated to int and allocated (bad_alloc).
+  EXPECT_THROW(Schedule::from_json(Json::parse(R"({"num_gpus": 99999999999, "gpus": []})")),
+               Error);
+  EXPECT_THROW(Schedule::from_json(Json::parse(R"({"num_gpus": -1, "gpus": []})")), Error);
+  // A node id beyond the id type used to wrap around to a valid-looking id.
+  EXPECT_THROW(
+      Schedule::from_json(Json::parse(R"({"num_gpus": 1, "gpus": [[[{"id": 4294967296}]]]})")),
+      Error);
+  EXPECT_THROW(Schedule::from_json(Json::parse(R"({"num_gpus": 1, "gpus": [[[{"id": -1}]]]})")),
+               Error);
+  const Schedule one =
+      Schedule::from_json(Json::parse(R"({"num_gpus": 1, "gpus": [[[{"id": 0}]]]})"));
+  EXPECT_EQ(one.num_gpus, 1);
+  EXPECT_EQ(one.gpus[0][0].ops, std::vector<graph::NodeId>{0});
+}
+
 TEST(Validate, AcceptsGoodSchedule) {
   const graph::Graph g = models::make_fork_join(2);
   EXPECT_TRUE(validate_schedule(g, two_gpu_example()).empty());
