@@ -1,9 +1,15 @@
 // Micro-benchmarks (google-benchmark) for the scheduler building blocks:
 // these are the inner-loop costs that determine Fig. 14's algorithm-runtime
-// component.
+// component — CompiledGraph construction, HIOS-LP's path-on-GPU trials on
+// ListScheduleState, and Alg. 2's merge candidates on ScheduleState.
+// `bench_micro_smoke` (ctest) runs every case once briefly.
 #include <benchmark/benchmark.h>
 
 #include "core/hios.h"
+#include "cost/stage_cache.h"
+#include "graph/compiled_graph.h"
+#include "sched/core/list_state.h"
+#include "sched/core/schedule_state.h"
 
 using namespace hios;
 
@@ -24,11 +30,11 @@ void BM_PriorityIndicators(benchmark::State& state) {
 }
 BENCHMARK(BM_PriorityIndicators)->Arg(100)->Arg(400);
 
-void BM_Reachability(benchmark::State& state) {
+void BM_CompiledGraph(benchmark::State& state) {
   const graph::Graph g = test_graph(static_cast<int>(state.range(0)));
-  for (auto _ : state) benchmark::DoNotOptimize(graph::reachability(g));
+  for (auto _ : state) benchmark::DoNotOptimize(graph::CompiledGraph(g));
 }
-BENCHMARK(BM_Reachability)->Arg(100)->Arg(400);
+BENCHMARK(BM_CompiledGraph)->Arg(100)->Arg(400);
 
 void BM_LongestValidPath(benchmark::State& state) {
   const graph::Graph g = test_graph(static_cast<int>(state.range(0)));
@@ -38,16 +44,63 @@ void BM_LongestValidPath(benchmark::State& state) {
 }
 BENCHMARK(BM_LongestValidPath)->Arg(100)->Arg(400);
 
-void BM_ListSchedule(benchmark::State& state) {
+// One HIOS-LP path trial: map the longest valid path of the unmapped half
+// onto a GPU, then re-time the list schedule from the earliest changed rank.
+void BM_ListScheduleStatePathTrial(benchmark::State& state) {
   const graph::Graph g = test_graph(static_cast<int>(state.range(0)));
-  const cost::TableCostModel cost;
-  const auto order = graph::priority_order(g);
-  std::vector<int> mapping(g.num_nodes());
-  for (std::size_t v = 0; v < g.num_nodes(); ++v) mapping[v] = static_cast<int>(v % 4);
-  for (auto _ : state)
-    benchmark::DoNotOptimize(sched::list_schedule(g, mapping, order, 4, cost));
+  const graph::CompiledGraph cg(g);
+  const cost::TableCostModel table;
+  const cost::StageTimeCache cost(table);
+  constexpr int kGpus = 4;
+  sched::ListScheduleState trial(cg, kGpus, cost);
+  DynBitset mapped(g.num_nodes());
+  for (std::size_t v = 0; v < g.num_nodes() / 2; ++v) {
+    trial.set_gpu(static_cast<graph::NodeId>(v), static_cast<int>(v % kGpus));
+    mapped.set(v);
+  }
+  const auto path = graph::longest_valid_path(g, mapped, cg.topo_order());
+  int gpu = 0;
+  for (auto _ : state) {
+    for (graph::NodeId v : path->nodes) trial.set_gpu(v, gpu);
+    benchmark::DoNotOptimize(trial.latency());
+    gpu = (gpu + 1) % kGpus;
+  }
 }
-BENCHMARK(BM_ListSchedule)->Arg(100)->Arg(400);
+BENCHMARK(BM_ListScheduleStatePathTrial)->Arg(100)->Arg(400);
+
+// One Alg. 2 merge candidate: apply -> evaluate -> undo on the first pair of
+// independent adjacent stages of an inter-LP schedule.
+void BM_ScheduleStateMergeCandidate(benchmark::State& state) {
+  const graph::Graph g = test_graph(static_cast<int>(state.range(0)));
+  const graph::CompiledGraph cg(g);
+  const cost::TableCostModel table;
+  const cost::StageTimeCache cost(table);
+  sched::SchedulerConfig config;
+  config.num_gpus = 4;
+  const auto placed = sched::make_scheduler("inter-lp")->schedule(g, table, config);
+  sched::ScheduleState merge(cg, cost);
+  merge.load(placed.schedule);
+  int gpu = -1, pos = -1;
+  for (int i = 0; i < merge.num_gpus() && gpu < 0; ++i) {
+    for (int p = 0; p + 1 < merge.stage_count(i); ++p) {
+      if (merge.stages_independent(merge.stage_at(i, p), merge.stage_at(i, p + 1))) {
+        gpu = i;
+        pos = p;
+        break;
+      }
+    }
+  }
+  if (gpu < 0) {
+    state.SkipWithError("no independent adjacent stages");
+    return;
+  }
+  for (auto _ : state) {
+    merge.apply_merge(gpu, pos, 1);
+    benchmark::DoNotOptimize(merge.evaluate_latency());
+    merge.undo_merge();
+  }
+}
+BENCHMARK(BM_ScheduleStateMergeCandidate)->Arg(100)->Arg(400);
 
 void BM_StageTimeEval(benchmark::State& state) {
   const graph::Graph g = test_graph(64);

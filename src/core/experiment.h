@@ -23,9 +23,14 @@ namespace hios::core {
 /// Decorator counting the distinct (stage -> time) measurements a
 /// profile-based scheduler would perform against this cost model. Not
 /// synchronised: use one instance from one thread, e.g. one schedule() call.
+/// Topology and per-GPU speed factors are copied from the inner model, so
+/// transfer_time / node_time answer exactly as the inner model would.
 class CountingCostModel final : public cost::CostModel {
  public:
-  explicit CountingCostModel(const cost::CostModel& inner) : inner_(inner) {}
+  explicit CountingCostModel(const cost::CostModel& inner) : inner_(inner) {
+    set_topology(inner.topology());
+    set_speed_factors(inner.speed_factors());
+  }
 
   double stage_time(const graph::Graph& g,
                     std::span<const graph::NodeId> stage) const override;

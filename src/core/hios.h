@@ -16,7 +16,8 @@
 //   ops/     operator taxonomy, shape inference, CPU reference kernels
 //   models/  Inception-v3, NASNet-A, random layered DAGs, toy graphs
 //   cost/    GPU/interconnect specs, analytical + table cost models
-//   sched/   Sequential, IOS, HIOS-LP, HIOS-MR (+ inter-GPU-only ablations)
+//   sched/   one Scheduler driver: Sequential, IOS, HIOS-LP, HIOS-MR placements
+//            + Alg. 2 / evaluation (+ inter-GPU-only and IOS-intra ablations)
 //   fault/   deterministic fault-injection plans (fail-stop, links, stragglers)
 //   sim/     stage- and op-level discrete-event simulators, trace export
 //   runtime/ virtual-GPU engine (threads + MPI-like channels, real tensors)

@@ -1,36 +1,23 @@
-#include "sched/hios_lp.h"
-
-#include <algorithm>
-#include <chrono>
 #include <limits>
 
-#include "cost/stage_cache.h"
-#include "graph/compiled_graph.h"
 #include "graph/longest_path.h"
 #include "sched/core/list_state.h"
-#include "sched/evaluate.h"
-#include "sched/parallelize.h"
+#include "sched/placement.h"
 #include "util/bitset.h"
 
 namespace hios::sched {
 
-ScheduleResult HiosLpScheduler::schedule(const graph::Graph& g, const cost::CostModel& cost,
-                                         const SchedulerConfig& config) const {
+Schedule place_longest_path(const graph::CompiledGraph& cg, const cost::CostModel& cost,
+                            const SchedulerConfig& config) {
   HIOS_CHECK(config.num_gpus >= 1, "HIOS-LP needs >= 1 GPU");
-  const auto t0 = std::chrono::steady_clock::now();
+  const graph::Graph& g = cg.graph();
   const std::size_t n = g.num_nodes();
   const int m = config.num_gpus;
-
-  // Compiled once for the whole run: CSR adjacency plus the priority
-  // indicators / order on the original graph G (Alg. 1 line 1).
-  const graph::CompiledGraph cg(g);
-  const std::vector<graph::NodeId>& order = cg.priority_order();
-  const cost::StageTimeCache cached(cost);
 
   // Incremental objective: each path-on-GPU trial only touches the path's
   // nodes, so the list schedule is recomputed from the earliest changed
   // priority rank instead of from scratch (Alg. 1 lines 7-16).
-  ListScheduleState trial(cg, m, cached);
+  ListScheduleState trial(cg, m, cost);
   DynBitset scheduled(n);
 
   while (scheduled.count() < n) {
@@ -56,25 +43,11 @@ ScheduleResult HiosLpScheduler::schedule(const graph::Graph& g, const cost::Cost
   }
 
   // The list schedule of the final mapping: each GPU runs its nodes one per
-  // stage in priority order.
+  // stage in priority order (Alg. 1 line 1 orders them on the original G).
   Schedule placed(m);
-  for (graph::NodeId v : order) placed.push_op(trial.mapping()[static_cast<std::size_t>(v)], v);
-  ScheduleResult result;
-  result.algorithm = name();
-  if (apply_intra_ && config.apply_intra) {
-    ParallelizeResult intra = parallelize(cg, std::move(placed), cached,
-                                          std::min(config.window, config.max_streams));
-    result.schedule = std::move(intra.schedule);
-    result.latency_ms = intra.latency_ms;
-  } else {
-    auto eval = evaluate_schedule(g, placed, cached);
-    HIOS_ASSERT(eval.has_value(), "list schedule cannot deadlock");
-    result.schedule = std::move(placed);
-    result.latency_ms = eval->latency_ms;
-  }
-  result.scheduling_ms =
-      std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0).count();
-  return result;
+  for (graph::NodeId v : cg.priority_order())
+    placed.push_op(trial.mapping()[static_cast<std::size_t>(v)], v);
+  return placed;
 }
 
 }  // namespace hios::sched

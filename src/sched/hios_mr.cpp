@@ -1,36 +1,19 @@
-#include "sched/hios_mr.h"
-
 #include <algorithm>
-#include <chrono>
 #include <limits>
 
-#include "cost/stage_cache.h"
-#include "graph/compiled_graph.h"
-#include "sched/evaluate.h"
-#include "sched/parallelize.h"
+#include "sched/placement.h"
 
 namespace hios::sched {
 
-ScheduleResult HiosMrScheduler::schedule(const graph::Graph& g, const cost::CostModel& cost,
-                                         const SchedulerConfig& config) const {
+Schedule place_mapping_recording(const graph::CompiledGraph& cg, const cost::CostModel& cost,
+                                 const SchedulerConfig& config) {
   HIOS_CHECK(config.num_gpus >= 1, "HIOS-MR needs >= 1 GPU");
-  const auto t0 = std::chrono::steady_clock::now();
+  const graph::Graph& g = cg.graph();
   const int n = static_cast<int>(g.num_nodes());
   const int m = config.num_gpus;
   constexpr double kInf = std::numeric_limits<double>::infinity();
+  if (n == 0) return Schedule(m);
 
-  ScheduleResult result;
-  result.algorithm = name();
-
-  if (n == 0) {
-    result.schedule = Schedule(m);
-    return result;
-  }
-
-  // Compiled once per run: CSR adjacency + priority metadata; the stage
-  // cache memoizes every t(S) the intra pass re-queries.
-  const graph::CompiledGraph cg(g);
-  const cost::StageTimeCache cached(cost);
   // Line 1: v_1..v_n in descending priority (a topological order).
   const std::vector<graph::NodeId>& order = cg.priority_order();
 
@@ -110,21 +93,7 @@ ScheduleResult HiosMrScheduler::schedule(const graph::Graph& g, const cost::Cost
   for (int i = 0; i < n; ++i) {
     schedule.push_op(final_gpu[static_cast<std::size_t>(i)], order[static_cast<std::size_t>(i)]);
   }
-
-  if (apply_intra_ && config.apply_intra) {
-    ParallelizeResult intra = parallelize(cg, std::move(schedule), cached,
-                                          std::min(config.window, config.max_streams));
-    result.schedule = std::move(intra.schedule);
-    result.latency_ms = intra.latency_ms;
-  } else {
-    auto eval = evaluate_schedule(g, schedule, cached);
-    HIOS_ASSERT(eval.has_value(), "MR chain schedule cannot deadlock");
-    result.schedule = std::move(schedule);
-    result.latency_ms = eval->latency_ms;
-  }
-  result.scheduling_ms =
-      std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0).count();
-  return result;
+  return schedule;
 }
 
 }  // namespace hios::sched

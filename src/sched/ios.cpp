@@ -1,13 +1,8 @@
-#include "sched/ios.h"
-
 #include <algorithm>
-#include <chrono>
 #include <limits>
 #include <unordered_map>
 
-#include "cost/stage_cache.h"
-#include "graph/compiled_graph.h"
-#include "sched/evaluate.h"
+#include "sched/placement.h"
 #include "util/bitset.h"
 
 namespace hios::sched {
@@ -33,22 +28,11 @@ struct Candidate {
 
 }  // namespace
 
-ScheduleResult IosScheduler::schedule(const graph::Graph& g, const cost::CostModel& cost,
-                                      const SchedulerConfig& config) const {
-  const auto t0 = std::chrono::steady_clock::now();
+Schedule place_ios(const graph::CompiledGraph& cg, const cost::CostModel& cost,
+                   const SchedulerConfig& config) {
+  const graph::Graph& g = cg.graph();
   const std::size_t n = g.num_nodes();
-
-  ScheduleResult result;
-  result.algorithm = name();
-  if (n == 0) {
-    result.schedule = Schedule(1);
-    return result;
-  }
-
-  // Compiled once per run; the stage cache memoizes t(S) across the many
-  // DP states that query the same candidate stage.
-  const graph::CompiledGraph cg(g);
-  const cost::StageTimeCache cached(cost);
+  if (n == 0) return Schedule(1);
   const std::vector<double>& priority = cg.priority();
 
   std::vector<State> states;
@@ -97,7 +81,7 @@ ScheduleResult IosScheduler::schedule(const graph::Graph& g, const cost::CostMod
     auto recurse = [&](auto&& self, std::size_t from) -> void {
       if (!stage.empty()) {
         out.push_back(Candidate{
-            stage, cached.stage_time(g, std::span<const graph::NodeId>(stage))});
+            stage, cost.stage_time(g, std::span<const graph::NodeId>(stage))});
       }
       if (stage.size() >= static_cast<std::size_t>(max_stage)) return;
       for (std::size_t i = from; i < ready.size(); ++i) {
@@ -167,14 +151,7 @@ ScheduleResult IosScheduler::schedule(const graph::Graph& g, const cost::CostMod
   Schedule schedule(1);
   for (auto it = stages_rev.rbegin(); it != stages_rev.rend(); ++it)
     schedule.gpus[0].push_back(Stage{*it});
-
-  auto eval = evaluate_schedule(g, schedule, cached);
-  HIOS_ASSERT(eval.has_value(), "IOS schedule cannot deadlock");
-  result.schedule = std::move(schedule);
-  result.latency_ms = eval->latency_ms;
-  result.scheduling_ms =
-      std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0).count();
-  return result;
+  return schedule;
 }
 
 }  // namespace hios::sched

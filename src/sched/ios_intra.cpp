@@ -6,8 +6,7 @@
 #include "cost/remap_model.h"
 #include "cost/stage_cache.h"
 #include "sched/evaluate.h"
-#include "sched/hios_lp.h"
-#include "sched/ios.h"
+#include "sched/placement.h"
 
 namespace hios::sched {
 
@@ -22,9 +21,7 @@ ScheduleResult ios_intra_pass(const graph::Graph& g, const Schedule& schedule,
 
   Schedule best = schedule;
   double best_latency = base_eval->latency_ms;
-  const std::vector<int> gpu_of = schedule.gpu_assignment(g.num_nodes());
 
-  IosScheduler ios;
   for (int gpu = 0; gpu < schedule.num_gpus; ++gpu) {
     // Collect this GPU's ops (stage order) and build the induced subgraph.
     std::vector<graph::NodeId> to_global;
@@ -49,12 +46,13 @@ ScheduleResult ios_intra_pass(const graph::Graph& g, const Schedule& schedule,
     // `cost` (a shared_ptr that owns nothing), which outlives this call.
     const cost::RemappedCostModel local_cost(
         std::shared_ptr<const cost::CostModel>(std::shared_ptr<void>(), &cost), g, to_global);
-    const ScheduleResult local_result = ios.schedule(local, local_cost, config);
+    const Schedule local_stages = place_ios(graph::CompiledGraph(local),
+                                            cost::StageTimeCache(local_cost), config);
 
     Schedule candidate = best;
     auto& stages = candidate.gpus[static_cast<std::size_t>(gpu)];
     stages.clear();
-    for (const Stage& stage : local_result.schedule.gpus[0]) {
+    for (const Stage& stage : local_stages.gpus[0]) {
       Stage remapped;
       for (graph::NodeId lv : stage.ops)
         remapped.ops.push_back(to_global[static_cast<std::size_t>(lv)]);
@@ -74,20 +72,6 @@ ScheduleResult ios_intra_pass(const graph::Graph& g, const Schedule& schedule,
   result.schedule = std::move(best);
   result.latency_ms = best_latency;
   result.algorithm = "ios-intra";
-  result.scheduling_ms =
-      std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0).count();
-  return result;
-}
-
-ScheduleResult HiosLpIosIntraScheduler::schedule(const graph::Graph& g,
-                                                 const cost::CostModel& cost,
-                                                 const SchedulerConfig& config) const {
-  const auto t0 = std::chrono::steady_clock::now();
-  SchedulerConfig inter_only = config;
-  inter_only.apply_intra = false;
-  const ScheduleResult inter = HiosLpScheduler(false).schedule(g, cost, inter_only);
-  ScheduleResult result = ios_intra_pass(g, inter.schedule, cost, config);
-  result.algorithm = name();
   result.scheduling_ms =
       std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0).count();
   return result;

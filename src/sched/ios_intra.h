@@ -17,17 +17,9 @@ namespace hios::sched {
 
 /// Re-partitions each GPU's ops into stages with the IOS DP, keeping the
 /// GPU mapping of `schedule` fixed. Falls back to the input stages for a
-/// GPU when the IOS result evaluates worse globally.
+/// GPU when the IOS result evaluates worse globally. The "hios-lp-iosintra"
+/// scheduler runs this pass after the Alg. 1 placement.
 ScheduleResult ios_intra_pass(const graph::Graph& g, const Schedule& schedule,
                               const cost::CostModel& cost, const SchedulerConfig& config);
-
-/// "hios-lp-iosintra": Alg. 1 inter-GPU mapping + IOS-per-GPU intra pass.
-/// Registered for the ablation; not part of the paper's six algorithms.
-class HiosLpIosIntraScheduler final : public Scheduler {
- public:
-  std::string name() const override { return "hios-lp-iosintra"; }
-  ScheduleResult schedule(const graph::Graph& g, const cost::CostModel& cost,
-                          const SchedulerConfig& config) const override;
-};
 
 }  // namespace hios::sched

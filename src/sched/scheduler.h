@@ -1,12 +1,16 @@
-// Common scheduler interface and factory.
+// Scheduler driver and factory.
 //
-// All six algorithms the paper evaluates (§V-B) implement Scheduler:
-//   sequential  — one GPU, topological order, one op per stage
-//   ios         — IOS (Ding et al.): single-GPU DP with schedule pruning
-//   hios-lp     — Alg. 1 (longest-path inter-GPU) + Alg. 2 (intra-GPU)
-//   hios-mr     — Alg. 3 (mapping-recording inter-GPU) + Alg. 2
-//   inter-lp    — Alg. 1 without the intra-GPU pass (ablation)
-//   inter-mr    — Alg. 3 without the intra-GPU pass (ablation)
+// Every algorithm is a placement step followed by one finishing pass
+// (sched/placement.h). The six the paper evaluates (§V-B), plus one
+// ablation, are the rows of one table in scheduler_factory.cpp:
+//   sequential        — one GPU, priority order, one op per stage; evaluate
+//   ios               — IOS (Ding et al.): single-GPU DP with pruning; evaluate
+//   hios-lp           — Alg. 1 (longest-path inter-GPU) + Alg. 2 (intra-GPU)
+//   hios-mr           — Alg. 3 (mapping-recording inter-GPU) + Alg. 2
+//   inter-lp          — Alg. 1, evaluated without Alg. 2 (ablation)
+//   inter-mr          — Alg. 3, evaluated without Alg. 2 (ablation)
+//   hios-lp-iosintra  — Alg. 1 + IOS per GPU instead of Alg. 2 (§IV-B
+//                       ablation, sched/ios_intra.h; not one of the six)
 #pragma once
 
 #include <memory>
@@ -23,12 +27,13 @@ struct SchedulerConfig {
   int num_gpus = 2;       ///< M (ignored by sequential and ios)
   int window = 2;         ///< w, max ops per merged stage in Alg. 2
   int max_streams = 8;    ///< L, CUDA streams per GPU (§III-A); caps any stage
-  bool apply_intra = true;///< run Alg. 2 after the inter-GPU pass
 
   // IOS pruning (defaults keep 200-op graphs subsecond; raise for exactness)
   int ios_max_stage_ops = 3;  ///< max ops per stage candidate
   int ios_frontier_cap = 10;  ///< ready-set truncation (by priority)
   int ios_beam_width = 24;    ///< states kept per down-set size
+
+  bool operator==(const SchedulerConfig&) const = default;
 };
 
 /// Output of one scheduling run.
@@ -43,15 +48,22 @@ struct ScheduleResult {
   std::string algorithm;
 };
 
-/// Interface implemented by every scheduling algorithm.
+struct Algorithm;  // one row of the driver's table (scheduler_factory.cpp)
+
+/// One named algorithm. schedule() times the whole call, compiles `g` once,
+/// wraps `cost` in the run's stage-time cache, places, then finishes.
 class Scheduler {
  public:
-  virtual ~Scheduler() = default;
-  virtual std::string name() const = 0;
+  std::string name() const;
   /// Produces a valid schedule of g. `cost` supplies t(S); t(v)/t(u,v)
   /// live on the graph itself.
-  virtual ScheduleResult schedule(const graph::Graph& g, const cost::CostModel& cost,
-                                  const SchedulerConfig& config) const = 0;
+  ScheduleResult schedule(const graph::Graph& g, const cost::CostModel& cost,
+                          const SchedulerConfig& config) const;
+
+ private:
+  friend std::unique_ptr<Scheduler> make_scheduler(const std::string& name);
+  explicit Scheduler(const Algorithm& algorithm) : algorithm_(&algorithm) {}
+  const Algorithm* algorithm_;
 };
 
 /// Instantiates a scheduler by name (see list above). Throws on unknown.

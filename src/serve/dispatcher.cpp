@@ -225,7 +225,7 @@ Dispatcher::Step Dispatcher::attempt(Ticket& t, int lane, double start) {
   // contention scale.
   if (options_.hedge_multiplier > 0.0 && num_lanes() > 1 &&
       static_cast<int>(duration_samples_.size()) >= options_.hedge_min_samples &&
-      duration > options_.hedge_multiplier * percentile(duration_samples_, 0.99)) {
+      duration > options_.hedge_multiplier * percentile_sorted(duration_samples_, 0.99)) {
     const int lane2 = free_lane(lane);
     const double start2 = std::max(clock(lane2), start);
     const int k2 = in_flight_at(lane2, start2);
@@ -246,7 +246,8 @@ Dispatcher::Step Dispatcher::attempt(Ticket& t, int lane, double start) {
       }
     }
   }
-  duration_samples_.push_back(duration);
+  duration_samples_.insert(
+      std::upper_bound(duration_samples_.begin(), duration_samples_.end(), duration), duration);
   return Step::kCommitted;
 }
 

@@ -100,7 +100,7 @@ class Dispatcher {
   std::vector<double> lane_free_;
   std::set<std::tuple<double, RequestId, int, Ticket*>> pending_;  ///< (ready, id, attempt)
   std::multimap<double, FaultEvidence> evidence_;  ///< keyed by detection time
-  std::vector<double> duration_samples_;           ///< committed dispatch durations
+  std::vector<double> duration_samples_;           ///< committed dispatch durations, ascending
   std::map<std::string, const ops::Model*> models_;
   std::size_t seen_transitions_;
   std::pair<uint64_t, uint64_t> warmed_;  ///< (generation, epoch) last prewarmed

@@ -3,8 +3,8 @@
 // Scheduling a model is the expensive part of serving it cold: profiling
 // plus a HIOS-LP pass costs ~14 ms on a 512-op DAG (DESIGN.md §6d) — far
 // more than admitting a request. Schedules depend only on (model structure,
-// GPU count, algorithm, merge window) under a fixed platform *topology*, so
-// the cache keys on exactly that tuple (model structure via
+// algorithm, the whole SchedulerConfig) under a fixed platform *topology*,
+// so the cache keys on exactly that tuple (model structure via
 // ops::Model::fingerprint) plus a TopologyVersion, and a warm request costs
 // one hash lookup. Entries are immutable shared_ptrs: a cached plan can be
 // executed concurrently by every stream slot while new models are being
@@ -80,14 +80,13 @@ enum class CacheOutcome {
   kCoalesced,  ///< waited on a concurrent call's in-flight build
 };
 
-/// Thread-safe (model, nGPU, algorithm, window, topology) -> plan cache.
+/// Thread-safe (model, algorithm, config, topology) -> plan cache.
 class ScheduleCache {
  public:
   explicit ScheduleCache(cost::Platform platform) : platform_(std::move(platform)) {}
 
-  /// Returns the plan for (model.fingerprint(), config.num_gpus, algorithm,
-  /// config.window) on the full topology. Equivalent to passing a default
-  /// TopologyVersion below.
+  /// Returns the plan for (model.fingerprint(), algorithm, config) on the
+  /// full topology. Equivalent to passing a default TopologyVersion below.
   std::shared_ptr<const CachedPlan> get(const ops::Model& model,
                                         const std::string& algorithm,
                                         const sched::SchedulerConfig& config,
@@ -126,8 +125,7 @@ class ScheduleCache {
  private:
   struct Key {
     uint64_t model_fp = 0;
-    int num_gpus = 0;
-    int window = 0;
+    sched::SchedulerConfig config;
     uint32_t topo_mask = kFullMask;
     uint64_t topo_generation = 0;
     std::string algorithm;
@@ -135,9 +133,11 @@ class ScheduleCache {
   };
   struct KeyHash {
     std::size_t operator()(const Key& k) const {
+      const sched::SchedulerConfig& c = k.config;
       std::size_t h = k.model_fp;
-      h = h * 1099511628211ULL ^ static_cast<std::size_t>(k.num_gpus);
-      h = h * 1099511628211ULL ^ static_cast<std::size_t>(k.window);
+      for (int field : {c.num_gpus, c.window, c.max_streams, c.ios_max_stage_ops,
+                        c.ios_frontier_cap, c.ios_beam_width})
+        h = h * 1099511628211ULL ^ static_cast<std::size_t>(field);
       h = h * 1099511628211ULL ^ static_cast<std::size_t>(k.topo_mask);
       h = h * 1099511628211ULL ^ static_cast<std::size_t>(k.topo_generation);
       h = h * 1099511628211ULL ^ std::hash<std::string>{}(k.algorithm);

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "util/error.h"
@@ -38,16 +39,22 @@ class RunningStats {
   double max_ = -std::numeric_limits<double>::infinity();
 };
 
+/// Percentile of an ascending sample (linear interpolation); q in [0,1].
+/// O(1): callers that keep their sample sorted skip percentile()'s copy.
+inline double percentile_sorted(std::span<const double> sorted, double q) {
+  HIOS_CHECK(!sorted.empty(), "percentile of empty sample");
+  HIOS_CHECK(q >= 0.0 && q <= 1.0, "percentile q out of range: " << q);
+  const double pos = q * static_cast<double>(sorted.size() - 1);
+  const std::size_t lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
+  const double frac = pos - static_cast<double>(lo);
+  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+}
+
 /// Percentile of a sample (linear interpolation); q in [0,1].
 inline double percentile(std::vector<double> xs, double q) {
-  HIOS_CHECK(!xs.empty(), "percentile of empty sample");
-  HIOS_CHECK(q >= 0.0 && q <= 1.0, "percentile q out of range: " << q);
   std::sort(xs.begin(), xs.end());
-  const double pos = q * static_cast<double>(xs.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, xs.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return xs[lo] * (1.0 - frac) + xs[hi] * frac;
+  return percentile_sorted(xs, q);
 }
 
 /// Tail-latency summary of a latency sample (serving metrics, benches).

@@ -3,6 +3,7 @@
 
 #include "core/experiment.h"
 #include "core/pipeline.h"
+#include "cost/analytical_model.h"
 #include "cost/table_model.h"
 #include "models/examples.h"
 #include "models/inception.h"
@@ -71,6 +72,39 @@ TEST(Experiment, CountingModelPassesThroughValues) {
   EXPECT_DOUBLE_EQ(counter.stage_time(g, single), inner.stage_time(g, single));
   EXPECT_DOUBLE_EQ(counter.stage_time(g, pair), inner.stage_time(g, pair));
   EXPECT_DOUBLE_EQ(counter.demand(g, 0), inner.demand(g, 0));
+}
+
+// The counter stands in for the inner model inside a scheduler, so t(u,v)
+// and t(v) per GPU must come out exactly as the inner model's: a 2x2 A40
+// cluster (cross-node links slower) with heterogeneous speeds.
+TEST(Experiment, CountingModelKeepsTopologyAndSpeedFactors) {
+  const cost::ProfiledModel pm = cost::profile_model(
+      models::make_inception_v3(), cost::make_a40_cluster(2, 2, 4.0, 0.05));
+  const graph::Graph& g = pm.graph;
+  cost::AnalyticalCostModel inner = dynamic_cast<const cost::AnalyticalCostModel&>(*pm.cost);
+  inner.set_speed_factors({1.0, 1.25, 0.8, 1.5});
+  ASSERT_FALSE(inner.topology().empty());
+  const CountingCostModel counter(inner);
+  for (graph::EdgeId e = 0; e < static_cast<graph::EdgeId>(g.num_edges()); ++e) {
+    for (int src = 0; src < 4; ++src) {
+      for (int dst = 0; dst < 4; ++dst) {
+        ASSERT_EQ(counter.transfer_time(g, e, src, dst), inner.transfer_time(g, e, src, dst))
+            << "edge " << e << " " << src << "->" << dst;
+      }
+    }
+  }
+  for (graph::NodeId v = 0; v < static_cast<graph::NodeId>(g.num_nodes()); ++v) {
+    for (int gpu = 0; gpu < 4; ++gpu)
+      ASSERT_EQ(counter.node_time(g, v, gpu), inner.node_time(g, v, gpu)) << v << "@" << gpu;
+  }
+
+  sched::SchedulerConfig config;
+  config.num_gpus = 4;
+  const auto plain = sched::make_scheduler("hios-lp")->schedule(g, inner, config);
+  const auto counted = sched::make_scheduler("hios-lp")->schedule(g, counter, config);
+  EXPECT_EQ(counted.latency_ms, plain.latency_ms);
+  EXPECT_EQ(counted.schedule.to_json(g).dump(), plain.schedule.to_json(g).dump());
+  EXPECT_GT(counter.distinct_stages(), 0u);
 }
 
 TEST(Experiment, CountingModelDeduplicatesStages) {

@@ -2,10 +2,13 @@
 // GPU counts, and cost models, must satisfy the core invariants.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "cost/table_model.h"
 #include "graph/algorithms.h"
 #include "models/random_dag.h"
 #include "sched/evaluate.h"
+#include "sched/parallelize.h"
 #include "sched/scheduler.h"
 #include "sched/validate.h"
 #include "sim/event_sim.h"
@@ -70,7 +73,7 @@ TEST_P(SchedulerProperty, ReportedLatencyMatchesEvaluator) {
   const auto r = make_scheduler(GetParam().algorithm)->schedule(g, cost, config);
   const auto eval = evaluate_schedule(g, r.schedule, cost);
   ASSERT_TRUE(eval.has_value());
-  EXPECT_NEAR(eval->latency_ms, r.latency_ms, 1e-9);
+  EXPECT_EQ(eval->latency_ms, r.latency_ms);
 }
 
 TEST_P(SchedulerProperty, OpLevelSimulationNeverSlower) {
@@ -100,10 +103,37 @@ TEST_P(SchedulerProperty, DeterministicAcrossRuns) {
             b.schedule.gpu_assignment(g.num_nodes()));
 }
 
+TEST_P(SchedulerProperty, NameAndAlgorithmAreTheRegisteredName) {
+  const graph::Graph g = make_graph();
+  const cost::TableCostModel cost;
+  SchedulerConfig config;
+  config.num_gpus = GetParam().num_gpus;
+  const auto scheduler = make_scheduler(GetParam().algorithm);
+  EXPECT_EQ(scheduler->name(), GetParam().algorithm);
+  EXPECT_EQ(scheduler->schedule(g, cost, config).algorithm, GetParam().algorithm);
+}
+
+TEST_P(SchedulerProperty, HandlesEmptyAndOneNodeGraphs) {
+  const cost::TableCostModel cost;
+  const auto scheduler = make_scheduler(GetParam().algorithm);
+  graph::Graph one("one");
+  one.add_node("a", 1.5);
+  for (int m = 1; m <= 3; ++m) {
+    SchedulerConfig config;
+    config.num_gpus = m;
+    const auto empty = scheduler->schedule(graph::Graph("empty"), cost, config);
+    EXPECT_EQ(empty.schedule.num_ops(), 0u) << m;
+    EXPECT_EQ(empty.latency_ms, 0.0) << m;
+    const auto single = scheduler->schedule(one, cost, config);
+    EXPECT_TRUE(validate_schedule(one, single.schedule).empty()) << m;
+    EXPECT_EQ(single.latency_ms, 1.5) << m;
+  }
+}
+
 std::vector<Case> make_cases() {
   std::vector<Case> cases;
-  for (const std::string& alg :
-       {"sequential", "ios", "hios-lp", "hios-mr", "inter-lp", "inter-mr"}) {
+  for (const char* alg : {"sequential", "ios", "hios-lp", "hios-mr", "inter-lp", "inter-mr",
+                          "hios-lp-iosintra"}) {
     for (uint64_t seed : {1ull, 2ull, 3ull}) {
       for (int m : {2, 4}) {
         cases.push_back(Case{alg, seed, m});
@@ -114,6 +144,37 @@ std::vector<Case> make_cases() {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllAlgorithms, SchedulerProperty, testing::ValuesIn(make_cases()),
+                         case_name);
+
+// HIOS is its inter-GPU placement followed by Alg. 2 at window min(w, L):
+// the full scheduler and the two steps run by hand agree byte for byte.
+class HiosTwoLevelProperty : public SchedulerProperty {};
+
+TEST_P(HiosTwoLevelProperty, IsInterThenParallelize) {
+  const std::string& alg = GetParam().algorithm;
+  const graph::Graph g = make_graph();
+  const cost::TableCostModel cost;
+  SchedulerConfig config;
+  config.num_gpus = GetParam().num_gpus;
+  config.window = 2 + static_cast<int>(GetParam().seed);  // 3..5
+  config.max_streams = GetParam().seed == 3 ? 2 : 8;
+  const auto full = make_scheduler(alg)->schedule(g, cost, config);
+  const auto inter = make_scheduler(alg == "hios-lp" ? "inter-lp" : "inter-mr")
+                         ->schedule(g, cost, config);
+  const ParallelizeResult intra = parallelize(g, inter.schedule, cost,
+                                              std::min(config.window, config.max_streams));
+  EXPECT_EQ(full.schedule.to_json(g).dump(), intra.schedule.to_json(g).dump());
+  EXPECT_EQ(full.latency_ms, intra.latency_ms);
+}
+
+std::vector<Case> two_level_cases() {
+  std::vector<Case> cases;
+  for (const Case& c : make_cases())
+    if (c.algorithm == "hios-lp" || c.algorithm == "hios-mr") cases.push_back(c);
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(HiosLpMr, HiosTwoLevelProperty, testing::ValuesIn(two_level_cases()),
                          case_name);
 
 // ----------------------------------------------------------------------

@@ -7,6 +7,7 @@
 #include "cost/cost_model.h"
 #include "fault/fault_plan.h"
 #include "models/examples.h"
+#include "models/inception.h"
 #include "serve/metrics.h"
 #include "serve/queue.h"
 #include "serve/server.h"
@@ -97,6 +98,49 @@ TEST(ScheduleCache, KeyDistinguishesConfigAndStructure) {
   cache.get(renamed, "hios-lp", two, &hit);
   EXPECT_TRUE(hit);                    // fingerprint ignores the name
   EXPECT_EQ(cache.size(), 3u);
+}
+
+// Every SchedulerConfig field changes what a scheduler may produce, so the
+// key must cover all of them: a one-stream lookup after a default one is a
+// miss and returns the one-stream plan, not the merged one.
+TEST(ScheduleCache, KeyCoversEverySchedulerConfigField) {
+  ScheduleCache cache(cost::make_a40_server(2));
+  models::InceptionV3Options small;
+  small.image_hw = 96;
+  small.channel_scale = 4;
+  const ops::Model m = models::make_inception_v3(small);
+  sched::SchedulerConfig config;
+  config.num_gpus = 2;
+  const auto wide = cache.get(m, "hios-lp", config);
+  bool merged = false;
+  for (const auto& stages : wide->schedule.gpus)
+    for (const sched::Stage& stage : stages) merged = merged || stage.ops.size() > 1;
+  ASSERT_TRUE(merged) << "the default plan must use a multi-op stage";
+
+  sched::SchedulerConfig one_stream = config;
+  one_stream.max_streams = 1;
+  bool hit = true;
+  const auto serial = cache.get(m, "hios-lp", one_stream, &hit);
+  EXPECT_FALSE(hit);
+  const auto direct = sched::make_scheduler("hios-lp")->schedule(
+      serial->profiled.graph, *serial->profiled.cost, one_stream);
+  EXPECT_EQ(serial->latency_ms, direct.latency_ms);
+  for (const auto& stages : serial->schedule.gpus)
+    for (const sched::Stage& stage : stages) EXPECT_EQ(stage.ops.size(), 1u);
+
+  // One new entry per remaining field; repeating a lookup hits.
+  std::vector<sched::SchedulerConfig> variants(4, config);
+  variants[0].window = 3;
+  variants[1].ios_max_stage_ops = 2;
+  variants[2].ios_frontier_cap = 5;
+  variants[3].ios_beam_width = 8;
+  for (const sched::SchedulerConfig& variant : variants) {
+    cache.get(m, "hios-lp", variant, &hit);
+    EXPECT_FALSE(hit);
+    cache.get(m, "hios-lp", variant, &hit);
+    EXPECT_TRUE(hit);
+  }
+  EXPECT_EQ(cache.size(), 6u);
 }
 
 TEST(ScheduleCache, TopologyMaskKeysSurvivorPlans) {

@@ -1,6 +1,7 @@
 // Unit tests for util: rng, stats, bitset, args, table, logging, errors.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "util/args.h"
@@ -148,6 +149,24 @@ TEST(Stats, PercentileInterpolates) {
 TEST(Stats, PercentileRejectsBadInput) {
   EXPECT_THROW(percentile({}, 0.5), Error);
   EXPECT_THROW(percentile({1.0}, 1.5), Error);
+  EXPECT_THROW(percentile_sorted({}, 0.5), Error);
+}
+
+// A sample kept sorted by binary insertion (the serving hedge trigger's
+// p99) reads bit-equal percentiles to sorting a copy each time.
+TEST(Stats, SortedPercentileEqualsPercentile) {
+  Rng rng(17);
+  for (int trial = 0; trial < 20; ++trial) {
+    std::vector<double> arrival, sorted;
+    for (int i = 0; i < 150; ++i) {
+      // Few distinct values, so duplicates are common.
+      const double x = static_cast<double>(rng.uniform_int(0, 40)) * 0.37 + (trial % 3) * 1e-3;
+      arrival.push_back(x);
+      sorted.insert(std::upper_bound(sorted.begin(), sorted.end(), x), x);
+      for (double q : {0.0, 0.25, 0.5, 0.9, 0.99, 1.0})
+        ASSERT_EQ(percentile_sorted(sorted, q), percentile(arrival, q)) << trial << " " << i;
+    }
+  }
 }
 
 TEST(Stats, Geomean) {
