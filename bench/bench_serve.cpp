@@ -4,9 +4,9 @@
 // Three acceptance gates (DESIGN.md §6e/§6f), enforced with --assert:
 //   1. Throughput: at 4 GPUs x 4 stream slots a saturated request stream
 //      must sustain >= 4x the single-request throughput of the same
-//      schedule (with request_demand = 0.2, four in-flight requests fit
-//      inside the machine, so the virtual-time model must deliver exactly
-//      4x; the gate allows 3.99x for float slack). p50/p95/p99 latency is
+//      schedule (with serve::kRequestDemand = 0.2, four in-flight
+//      requests fit inside the machine, so the virtual-time model must
+//      deliver exactly 4x; the gate allows 3.99x for float slack). p50/p95/p99 latency is
 //      reported at every slot count.
 //   2. Schedule cache: a warm cache lookup must cost <= 1% of the cold
 //      profile + HIOS-LP scheduling pass it replaces.

@@ -68,8 +68,7 @@ class Graph {
   std::size_t in_degree(NodeId v) const { check_node(v); return in_[v].size(); }
 
   /// Returns the edge id of u -> v or -1 when absent. Linear in
-  /// out_degree(u) — hot paths should query a CompiledGraph, whose hashed
-  /// edge index answers this in O(1) expected time.
+  /// out_degree(u); used at graph-build time, not on scheduling hot paths.
   EdgeId find_edge(NodeId u, NodeId v) const;
 
   /// Nodes with no incoming / outgoing edges.

@@ -1,9 +1,7 @@
 #include "sched/core/schedule_state.h"
 
 #include <algorithm>
-#include <unordered_set>
 
-#include "graph/algorithms.h"
 #include "sched/stage_dag.h"
 
 namespace hios::sched {
@@ -62,33 +60,52 @@ void ScheduleState::load(const Schedule& schedule) {
 }
 
 void ScheduleState::rebuild_reach() {
-  // Condensed data-dependency graph over the (initial) stages. Edge dedup
-  // uses a hash set of packed (src, dst) stage pairs — the old per-edge
-  // Graph::find_edge scan made this quadratic on dense stage graphs.
+  // Closure of the condensed data-dependency graph over the (initial)
+  // stages, straight from node_stage_ and the CSR out-lists: a Kahn order
+  // over stages (each cross-stage graph edge counted, repeats included),
+  // then one reverse sweep reach[s] = U {t} u reach[t] over s's successors.
   const std::size_t num_stages = ops_.size();
-  graph::Graph condensed("stages");
-  for (std::size_t s = 0; s < num_stages; ++s) condensed.add_node(std::to_string(s));
-  std::unordered_set<uint64_t> seen;
-  seen.reserve(cg_.num_edges() * 2);
+  auto stage_of_dst = [&](graph::EdgeId e) {
+    return node_stage_[static_cast<std::size_t>(cg_.graph().edge(e).dst)];
+  };
+  std::vector<int> indeg(num_stages, 0);
   for (const graph::Edge& e : cg_.graph().edges()) {
-    const int su = node_stage_[static_cast<std::size_t>(e.src)];
     const int sv = node_stage_[static_cast<std::size_t>(e.dst)];
-    if (su == sv) continue;
-    const uint64_t key = (static_cast<uint64_t>(static_cast<uint32_t>(su)) << 32) |
-                         static_cast<uint64_t>(static_cast<uint32_t>(sv));
-    if (seen.insert(key).second) condensed.add_edge(su, sv);
+    if (node_stage_[static_cast<std::size_t>(e.src)] != sv) ++indeg[static_cast<std::size_t>(sv)];
   }
-  if (!graph::is_dag(condensed)) {
+  std::vector<int> order;
+  order.reserve(num_stages);
+  for (std::size_t s = 0; s < num_stages; ++s)
+    if (indeg[s] == 0) order.push_back(static_cast<int>(s));
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    const int s = order[i];
+    for (graph::NodeId v : ops_[static_cast<std::size_t>(s)])
+      for (graph::EdgeId e : cg_.out_edges(v)) {
+        const int t = stage_of_dst(e);
+        if (t != s && --indeg[static_cast<std::size_t>(t)] == 0) order.push_back(t);
+      }
+  }
+
+  reach_.assign(num_stages, DynBitset(num_stages));
+  if (order.size() < num_stages) {
     // A cyclic condensed graph means the input schedule deadlocks (the
     // reference evaluator reports nullopt, and so does run_eval). Keep
     // load() total by marking every pair dependent: no merge is ever
     // independent on an infeasible schedule.
-    reach_.assign(num_stages, DynBitset(num_stages));
     for (auto& row : reach_)
       for (std::size_t s = 0; s < num_stages; ++s) row.set(s);
     return;
   }
-  reach_ = graph::reachability(condensed);
+  for (auto it = order.rbegin(); it != order.rend(); ++it) {
+    DynBitset& row = reach_[static_cast<std::size_t>(*it)];
+    for (graph::NodeId v : ops_[static_cast<std::size_t>(*it)])
+      for (graph::EdgeId e : cg_.out_edges(v)) {
+        const int t = stage_of_dst(e);
+        if (t == *it) continue;
+        row.set(static_cast<std::size_t>(t));
+        row |= reach_[static_cast<std::size_t>(t)];
+      }
+  }
 }
 
 void ScheduleState::apply_merge(int gpu, int pos, int extent) {

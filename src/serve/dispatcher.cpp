@@ -20,7 +20,7 @@ bool outage_active(const std::vector<GpuOutage>& outages, int gpu, double t) {
 }
 
 double contention(const ServerOptions& options, int in_flight) {
-  return stream_contention_scale(in_flight, options.request_demand,
+  return stream_contention_scale(in_flight, kRequestDemand,
                                  options.platform.gpu.contention_kappa);
 }
 }  // namespace
@@ -68,7 +68,7 @@ void Dispatcher::advance_health(double t) {
       metrics_.on_health_transition();
     }
     const std::pair<uint64_t, uint64_t> now{health_.generation(), health_.topology_epoch()};
-    if (!options_.prewarm_degraded || now == warmed_) continue;
+    if (now == warmed_) continue;
     warmed_ = now;
     for (const auto& [name, model] : models_) {
       metrics_.on_pool_prewarm(
@@ -78,12 +78,12 @@ void Dispatcher::advance_health(double t) {
 }
 
 // The survivor-topology plan for the current health state (full-topology
-// plans bypass the pool so healthy traffic keeps the legacy counters).
+// plans bypass the pool, so healthy traffic never moves the pool counters).
 std::shared_ptr<const CachedPlan> Dispatcher::current_plan(const Ticket& t) {
   if (health_.all_up() && health_.topology_epoch() == 0) return t.plan;
-  bool hit = false;
-  auto plan = pool_.plan_for(*t.model, health_.up_mask(), health_.topology_epoch(), &hit);
-  metrics_.on_pool_result(hit);
+  CacheOutcome outcome = CacheOutcome::kHit;
+  auto plan = pool_.plan_for(*t.model, health_.up_mask(), health_.topology_epoch(), &outcome);
+  metrics_.on_pool_result(outcome);
   return plan;
 }
 
@@ -253,9 +253,9 @@ Dispatcher::Step Dispatcher::attempt(Ticket& t, int lane, double start) {
 
 Dispatcher::Step Dispatcher::retry_or_fail(Ticket& t, double base_ms, double detected,
                                            const std::string& cause) {
-  const bool attempts_left = t.attempt <= options_.max_retries;
-  const double backoff = options_.retry_backoff_ms *
-                         std::pow(options_.retry_backoff_multiplier, t.attempt - 1);
+  const bool attempts_left = t.attempt <= kMaxRetries;
+  const double backoff =
+      options_.retry_backoff_ms * std::pow(kRetryBackoffMultiplier, t.attempt - 1);
   // Deadline-aware: retry only when an uncontended re-run could still make
   // it (the failed plan's base latency is the estimate).
   if (attempts_left && detected + backoff + base_ms <= t.request.deadline_ms) {

@@ -52,17 +52,17 @@ class Metrics {
   void on_hedged();
   /// The hedge finished before the primary.
   void on_hedge_won();
-  void on_pool_result(bool hit);
+  /// A survivor-plan lookup: a miss paid the cold build; a hit or a
+  /// coalesced wait on another call's build counts as a pool hit.
+  void on_pool_result(CacheOutcome outcome);
   void on_pool_prewarm(std::size_t cold_builds);
   void on_health_transition();
   void on_probe(bool success);
 
   // --- execution-path detail ------------------------------------------
   void on_failover(const runtime::RecoveryMetrics& recovery);
-  /// Legacy hit/miss view: a coalesced lookup reports as a hit.
-  void on_cache_result(bool hit);
-  /// Full outcome: every lookup lands in exactly one of hit / miss /
-  /// coalesced, pinned by Snapshot::conserved().
+  /// A full-topology lookup: every lookup lands in exactly one of hit /
+  /// miss / coalesced, pinned by Snapshot::conserved().
   void on_cache_result(CacheOutcome outcome);
   void set_queue_capacity(std::size_t capacity);
   void record_queue_depth(std::size_t depth);

@@ -1,5 +1,6 @@
 #include "serve/plan_pool.h"
 
+#include <algorithm>
 #include <vector>
 
 #include "util/thread_pool.h"
@@ -9,20 +10,8 @@ namespace hios::serve {
 std::shared_ptr<const CachedPlan> PlanPool::plan_for(const ops::Model& model,
                                                      uint32_t mask,
                                                      uint64_t generation,
-                                                     bool* was_hit) {
-  bool hit = false;
-  auto plan = cache_.get(model, algorithm_, config_,
-                         TopologyVersion{mask, generation}, &hit);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (hit) {
-      ++hits_;
-    } else {
-      ++misses_;
-    }
-  }
-  if (was_hit != nullptr) *was_hit = hit;
-  return plan;
+                                                     CacheOutcome* outcome) {
+  return cache_.get(model, algorithm_, config_, TopologyVersion{mask, generation}, outcome);
 }
 
 std::size_t PlanPool::prewarm(const ops::Model& model, uint32_t mask,
@@ -48,31 +37,11 @@ std::size_t PlanPool::prewarm(const ops::Model& model, uint32_t mask,
   // schedule is computed twice.
   std::vector<char> cold(masks.size(), 0);
   util::global_pool().parallel_for(masks.size(), [&](std::size_t i) {
-    bool hit = false;
-    cache_.get(model, algorithm_, config_, TopologyVersion{masks[i], generation}, &hit);
-    cold[i] = hit ? 0 : 1;
+    CacheOutcome outcome = CacheOutcome::kHit;
+    cache_.get(model, algorithm_, config_, TopologyVersion{masks[i], generation}, &outcome);
+    cold[i] = outcome == CacheOutcome::kMiss;
   });
-  std::size_t builds = 0;
-  for (char c : cold) builds += static_cast<std::size_t>(c);
-
-  std::lock_guard<std::mutex> lock(mu_);
-  prewarm_builds_ += builds;
-  return builds;
-}
-
-std::size_t PlanPool::hits() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return hits_;
-}
-
-std::size_t PlanPool::misses() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return misses_;
-}
-
-std::size_t PlanPool::prewarm_builds() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return prewarm_builds_;
+  return static_cast<std::size_t>(std::ranges::count(cold, 1));
 }
 
 }  // namespace hios::serve

@@ -20,12 +20,12 @@
 // prewarmed keys; a link transition bumps the generation, and the pool
 // repopulates from scratch on the next prewarm.
 //
-// Thread-safe: counters under a mutex, plan builds delegated to the
-// (locking) ScheduleCache.
+// Thread-safe: the pool holds no mutable state of its own; plan builds and
+// their hit/miss counters live in the (locking) ScheduleCache, and serving's
+// pool counters in serve::Metrics.
 #pragma once
 
 #include <cstdint>
-#include <mutex>
 #include <string>
 
 #include "ops/model.h"
@@ -41,10 +41,11 @@ class PlanPool {
       : cache_(cache), algorithm_(std::move(algorithm)), config_(std::move(config)) {}
 
   /// The plan for the survivor set `mask` under link generation
-  /// `generation`; builds cold iff nothing warmed it first.
+  /// `generation`; builds cold iff nothing warmed it first. `outcome`, when
+  /// non-null, reports how the cache satisfied the lookup.
   std::shared_ptr<const CachedPlan> plan_for(const ops::Model& model, uint32_t mask,
                                              uint64_t generation,
-                                             bool* was_hit = nullptr);
+                                             CacheOutcome* outcome = nullptr);
 
   /// Ensures warm plans for `mask` and every single-GPU-down subset of it
   /// (skipping subsets with no survivor). The masks are distinct cache
@@ -55,19 +56,10 @@ class PlanPool {
   /// caller's in-flight build does not count).
   std::size_t prewarm(const ops::Model& model, uint32_t mask, uint64_t generation);
 
-  std::size_t hits() const;
-  std::size_t misses() const;
-  /// Cold builds performed by prewarm() calls (as opposed to on-path).
-  std::size_t prewarm_builds() const;
-
  private:
   ScheduleCache& cache_;
   std::string algorithm_;
   sched::SchedulerConfig config_;
-  mutable std::mutex mu_;
-  std::size_t hits_ = 0;
-  std::size_t misses_ = 0;
-  std::size_t prewarm_builds_ = 0;
 };
 
 }  // namespace hios::serve

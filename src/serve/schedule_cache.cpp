@@ -26,26 +26,6 @@ std::vector<int> survivor_gpus(uint32_t mask, int num_gpus) {
 std::shared_ptr<const CachedPlan> ScheduleCache::get(const ops::Model& model,
                                                      const std::string& algorithm,
                                                      const sched::SchedulerConfig& config,
-                                                     bool* was_hit) {
-  return get(model, algorithm, config, TopologyVersion{}, was_hit);
-}
-
-std::shared_ptr<const CachedPlan> ScheduleCache::get(const ops::Model& model,
-                                                     const std::string& algorithm,
-                                                     const sched::SchedulerConfig& config,
-                                                     TopologyVersion topo,
-                                                     bool* was_hit) {
-  CacheOutcome outcome = CacheOutcome::kHit;
-  auto plan = get(model, algorithm, config, topo, &outcome);
-  // A coalesced lookup did not pay the build, so the legacy view reports it
-  // as a hit.
-  if (was_hit != nullptr) *was_hit = outcome != CacheOutcome::kMiss;
-  return plan;
-}
-
-std::shared_ptr<const CachedPlan> ScheduleCache::get(const ops::Model& model,
-                                                     const std::string& algorithm,
-                                                     const sched::SchedulerConfig& config,
                                                      TopologyVersion topo,
                                                      CacheOutcome* outcome) {
   HIOS_CHECK(config.num_gpus >= 1 && config.num_gpus <= 32,
@@ -56,8 +36,8 @@ std::shared_ptr<const CachedPlan> ScheduleCache::get(const ops::Model& model,
                                   : (1u << config.num_gpus) - 1u;
   uint32_t mask = topo.mask & width_mask;
   HIOS_CHECK(mask != 0, "ScheduleCache::get: topology mask leaves no survivor GPU");
-  // Normalise: the full survivor set always keys as kFullMask, so the legacy
-  // overload and an explicit all-up mask share one entry.
+  // Normalise: the full survivor set always keys as kFullMask, so the
+  // default TopologyVersion and an explicit all-up mask share one entry.
   if (mask == width_mask) mask = kFullMask;
 
   const Key key{model.fingerprint(), config, mask, topo.generation, algorithm};
@@ -102,7 +82,6 @@ std::shared_ptr<const CachedPlan> ScheduleCache::get(const ops::Model& model,
     Slot& slot = map_[key];
     slot.plan = plan;
     slot.pending = {};
-    build_ms_ += plan->build_ms;
   }
   promise.set_value(plan);
   return plan;
@@ -162,11 +141,6 @@ std::size_t ScheduleCache::misses() const {
 std::size_t ScheduleCache::coalesced() const {
   std::lock_guard<std::mutex> lock(mu_);
   return coalesced_;
-}
-
-double ScheduleCache::total_build_ms() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return build_ms_;
 }
 
 std::size_t ScheduleCache::size() const {

@@ -86,38 +86,23 @@ class ScheduleCache {
   explicit ScheduleCache(cost::Platform platform) : platform_(std::move(platform)) {}
 
   /// Returns the plan for (model.fingerprint(), algorithm, config) on the
-  /// full topology. Equivalent to passing a default TopologyVersion below.
-  std::shared_ptr<const CachedPlan> get(const ops::Model& model,
-                                        const std::string& algorithm,
-                                        const sched::SchedulerConfig& config,
-                                        bool* was_hit = nullptr);
-
-  /// Topology-aware lookup: the plan is built on the survivor subset of the
-  /// platform named by `topo.mask` (restricted GPU count and interconnect),
-  /// and keyed additionally on `topo.generation`. config.num_gpus still
+  /// survivor subset of the platform named by `topo.mask` (restricted GPU
+  /// count and interconnect), keyed additionally on `topo.generation`; the
+  /// default TopologyVersion is the full topology. config.num_gpus still
   /// names the *full* platform width; the mask picks survivors out of it.
   /// Misses build outside the lock with single-flight coalescing (see the
-  /// file comment). `was_hit`, when non-null, reports hit-or-not
-  /// (coalesced counts as a hit: this call did not pay the build).
+  /// file comment). `outcome`, when non-null, reports how the lookup was
+  /// satisfied (hit / miss / coalesced).
   std::shared_ptr<const CachedPlan> get(const ops::Model& model,
                                         const std::string& algorithm,
                                         const sched::SchedulerConfig& config,
-                                        TopologyVersion topo,
-                                        bool* was_hit = nullptr);
-
-  /// Same lookup, reporting the full outcome (hit / miss / coalesced).
-  std::shared_ptr<const CachedPlan> get(const ops::Model& model,
-                                        const std::string& algorithm,
-                                        const sched::SchedulerConfig& config,
-                                        TopologyVersion topo,
-                                        CacheOutcome* outcome);
+                                        TopologyVersion topo = {},
+                                        CacheOutcome* outcome = nullptr);
 
   std::size_t hits() const;
   std::size_t misses() const;
   /// Lookups that waited on another call's in-flight build.
   std::size_t coalesced() const;
-  /// Total wall clock spent on cold builds (profile + schedule).
-  double total_build_ms() const;
   std::size_t size() const;
 
   const cost::Platform& platform() const { return platform_; }
@@ -164,7 +149,6 @@ class ScheduleCache {
   std::size_t hits_ = 0;
   std::size_t misses_ = 0;
   std::size_t coalesced_ = 0;
-  double build_ms_ = 0.0;
 };
 
 }  // namespace hios::serve

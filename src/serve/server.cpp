@@ -9,6 +9,7 @@
 #include "runtime/failover.h"
 #include "serve/dispatcher.h"
 #include "util/error.h"
+#include "util/thread_pool.h"
 
 namespace hios::serve {
 
@@ -25,20 +26,14 @@ void ServerOptions::validate() const {
   HIOS_CHECK(platform.num_gpus >= 1 && platform.num_gpus <= 32,
              "ServerOptions: platform.num_gpus must be in [1, 32] (got "
                  << platform.num_gpus << ")");
-  HIOS_CHECK(slots_per_gpu >= 1,
-             "ServerOptions: slots_per_gpu must be >= 1 (got " << slots_per_gpu << ")");
+  HIOS_CHECK(slots_per_gpu >= 1 && slots_per_gpu <= util::ThreadPool::kMaxThreads,
+             "ServerOptions: slots_per_gpu must be in [1, " << util::ThreadPool::kMaxThreads
+                                                            << "] (got " << slots_per_gpu
+                                                            << ")");
   HIOS_CHECK(queue_capacity >= 1, "ServerOptions: queue_capacity must be >= 1");
   HIOS_CHECK(!algorithm.empty(), "ServerOptions: algorithm must not be empty");
-  HIOS_CHECK(request_demand > 0.0 && request_demand <= 1.0,
-             "ServerOptions: request_demand must be in (0, 1] (got "
-                 << request_demand << ")");
-  HIOS_CHECK(max_retries >= 0,
-             "ServerOptions: max_retries must be >= 0 (got " << max_retries << ")");
   HIOS_CHECK(retry_backoff_ms >= 0.0, "ServerOptions: retry_backoff_ms must be >= 0 (got "
                                           << retry_backoff_ms << ")");
-  HIOS_CHECK(retry_backoff_multiplier >= 1.0,
-             "ServerOptions: retry_backoff_multiplier must be >= 1 (got "
-                 << retry_backoff_multiplier << ")");
   HIOS_CHECK(hedge_min_samples >= 1,
              "ServerOptions: hedge_min_samples must be >= 1 (got " << hedge_min_samples
                                                                    << ")");
@@ -122,8 +117,7 @@ Server::EngineOutcome Server::execute_plan(const ops::Model& model,
                                            const CachedPlan& plan) {
   EngineOutcome out;
   try {
-    const bool faulted = options_.faults != nullptr && !options_.faults->empty();
-    if (faulted && options_.failover) {
+    if (options_.faults != nullptr && !options_.faults->empty()) {
       runtime::FailoverOptions fo;
       fo.algorithm = options_.algorithm;
       fo.config = config_;
@@ -137,7 +131,6 @@ Server::EngineOutcome Server::execute_plan(const ops::Model& model,
       out.recovered = result.metrics.fault_occurred && result.metrics.recovered;
     } else {
       runtime::ExecOptions eo;
-      eo.faults = faulted ? options_.faults : nullptr;
       eo.watchdog_ms = options_.watchdog_ms;
       auto result = runtime::execute_schedule(model, plan.profiled.graph,
                                               plan.schedule, *plan.profiled.cost,

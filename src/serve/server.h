@@ -53,29 +53,37 @@ namespace hios::serve {
 
 class Dispatcher;
 
+// Fixed serving policy (DESIGN.md §6e/§6f). Failover on a per-request fault
+// and survivor-plan prewarm on every health transition are always on.
+/// GPU fraction one in-flight request saturates (feeds the contention
+/// formula): 5 concurrent requests fill the machine exactly.
+inline constexpr double kRequestDemand = 0.2;
+/// Re-dispatch attempts after a failed one.
+inline constexpr int kMaxRetries = 2;
+/// Each retry after the first multiplies the backoff by this.
+inline constexpr double kRetryBackoffMultiplier = 2.0;
+
 /// Serving configuration.
 struct ServerOptions {
   /// Machine model; num_gpus here is the serving GPU count.
   cost::Platform platform = cost::make_a40_server(2);
   /// Stream slots per GPU: K requests execute concurrently on the vGPU set.
+  /// At most util::ThreadPool::kMaxThreads: start() spawns one lane per slot.
   int slots_per_gpu = 2;
   /// Admission queue bound; a full queue rejects new requests.
   std::size_t queue_capacity = 64;
   /// Scheduling algorithm + tunables for cached plans.
   std::string algorithm = "hios-lp";
   sched::SchedulerConfig config;  ///< num_gpus is overridden from platform
-  /// GPU fraction one in-flight request saturates (feeds the contention
-  /// formula). 0.2 means 5 concurrent requests fill the machine exactly.
-  double request_demand = 0.2;
   /// Execute real tensors through the engine (true) or account virtual
   /// time only (false; throughput benchmarks).
   bool use_engine = true;
   /// Fault script injected into every request's engine run (per-request
   /// virtual time, so each request sees the same script). nullptr = none.
-  /// Mutually exclusive with `outages`.
+  /// A fault that leaves a request incomplete reschedules it on the
+  /// survivors (runtime::execute_with_failover). Mutually exclusive with
+  /// `outages`.
   const fault::FaultPlan* faults = nullptr;
-  /// Reschedule-on-survivors when a fault leaves a request incomplete.
-  bool failover = true;
   /// Engine wall-clock watchdog per blocking receive (<= 0 disables).
   double watchdog_ms = 60000.0;
 
@@ -86,11 +94,9 @@ struct ServerOptions {
   /// Mutually exclusive with `faults`.
   std::vector<GpuOutage> outages;
   HealthOptions health;
-  /// Re-dispatch attempts after a failed one (0 disables retries).
-  int max_retries = 2;
-  /// First retry backoff; each further retry multiplies it.
+  /// First retry backoff; each further retry multiplies it by
+  /// kRetryBackoffMultiplier, up to kMaxRetries retries.
   double retry_backoff_ms = 1.0;
-  double retry_backoff_multiplier = 2.0;
   /// Hedge trigger: issue a backup dispatch when a request's projected
   /// execution time exceeds hedge_multiplier * p99 of prior dispatches
   /// (<= 0 disables hedging; needs >= hedge_min_samples history).
@@ -99,12 +105,10 @@ struct ServerOptions {
   /// Shed deadline requests at admission when even an unqueued survivor
   /// plan cannot meet the deadline (degraded topology only).
   bool breaker = true;
-  /// Prewarm survivor plans (current mask + every single-GPU-down subset)
-  /// on each health transition.
-  bool prewarm_degraded = true;
 
   /// Throws hios::Error naming the offending field on invalid values
-  /// (negative counts, out-of-range outages, faults+outages together, ...).
+  /// (out-of-range counts, out-of-range outages, faults+outages together,
+  /// ...).
   void validate() const;
 };
 

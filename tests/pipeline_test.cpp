@@ -113,9 +113,11 @@ TEST(Experiment, CountingModelDeduplicatesStages) {
   const CountingCostModel counter(inner);
   const graph::NodeId pair[] = {2, 3};
   const graph::NodeId pair_again[] = {2, 3};
+  const graph::NodeId pair_reversed[] = {3, 2};  // a stage is a set: same stage
   const graph::NodeId other[] = {2, 4};
   counter.stage_time(g, pair);
   counter.stage_time(g, pair_again);
+  counter.stage_time(g, pair_reversed);
   counter.stage_time(g, other);
   EXPECT_EQ(counter.distinct_stages(), 2u);
   EXPECT_GT(counter.measured_ms(), 0.0);

@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <optional>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "cost/stage_cache.h"
@@ -285,6 +286,54 @@ TEST(SchedCore, CommittedReachMatchesFreshRebuild) {
     }
   }
   EXPECT_GT(commits, 30);
+}
+
+// load() builds the stage closure straight from the compiled graph; it must
+// equal graph::reachability on a condensed stage graph built here, both on
+// grouped schedules and on shuffled ones whose per-GPU order deadlocks (the
+// closure follows data edges only). A cyclic condensation, possible when
+// grouping joins two stages both ways, marks every pair dependent.
+TEST(SchedCore, LoadedReachMatchesCondensedGraphReachability) {
+  std::mt19937_64 rng(0x5EED);
+  int acyclic = 0, cyclic = 0, deadlocked = 0;
+  for (int iter = 0; iter < 240; ++iter) {
+    const graph::Graph g = make_dag(rng);
+    const int m = 1 + static_cast<int>(rng() % 4);
+    const cost::TableCostModel cost;
+    const auto reach = graph::reachability(g);
+    ScheduleOpts opts;
+    opts.group_prob = iter % 3 == 0 ? 0.9 : 0.4;
+    opts.shuffle = iter % 2 == 1;
+    const Schedule s = random_schedule(g, reach, m, rng, opts);
+
+    const graph::CompiledGraph cg(g);
+    ScheduleState state(cg, cost);
+    state.load(s);
+    deadlocked += !state.evaluate_latency().has_value();
+
+    const int n = static_cast<int>(state.num_stages_alive());
+    graph::Graph condensed("stages");
+    for (int st = 0; st < n; ++st) condensed.add_node("s" + std::to_string(st));
+    for (const graph::Edge& e : g.edges()) {
+      const int su = state.stage_of(e.src), sv = state.stage_of(e.dst);
+      if (su != sv && condensed.find_edge(su, sv) < 0) condensed.add_edge(su, sv);
+    }
+    const bool dag = graph::is_dag(condensed);
+    (dag ? acyclic : cyclic) += 1;
+    const auto stage_reach = dag ? graph::reachability(condensed) : std::vector<DynBitset>{};
+    for (int a = 0; a < n; ++a) {
+      for (int b = 0; b < n; ++b) {
+        const bool independent =
+            dag && a != b && !stage_reach[static_cast<std::size_t>(a)].test(b) &&
+            !stage_reach[static_cast<std::size_t>(b)].test(a);
+        EXPECT_EQ(state.stages_independent(a, b), independent)
+            << "iter " << iter << " stages " << a << ", " << b;
+      }
+    }
+  }
+  EXPECT_GT(acyclic, 100);
+  EXPECT_GT(cyclic, 0);
+  EXPECT_GT(deadlocked, 20);
 }
 
 TEST(SchedCore, ListStateMatchesFromScratchPass) {

@@ -73,11 +73,11 @@ TEST(ScheduleCache, SecondLookupIsAHit) {
   const ops::Model m = tiny_model();
   sched::SchedulerConfig config;
   config.num_gpus = 2;
-  bool hit = true;
-  auto cold = cache.get(m, "hios-lp", config, &hit);
-  EXPECT_FALSE(hit);
-  auto warm = cache.get(m, "hios-lp", config, &hit);
-  EXPECT_TRUE(hit);
+  CacheOutcome outcome = CacheOutcome::kHit;
+  auto cold = cache.get(m, "hios-lp", config, {}, &outcome);
+  EXPECT_EQ(outcome, CacheOutcome::kMiss);
+  auto warm = cache.get(m, "hios-lp", config, {}, &outcome);
+  EXPECT_EQ(outcome, CacheOutcome::kHit);
   EXPECT_EQ(cold.get(), warm.get());  // same immutable plan
   EXPECT_EQ(cache.hits(), 1u);
   EXPECT_EQ(cache.misses(), 1u);
@@ -94,9 +94,9 @@ TEST(ScheduleCache, KeyDistinguishesConfigAndStructure) {
   cache.get(m, "hios-lp", four);       // different nGPU -> new entry
   cache.get(m, "hios-mr", two);        // different algorithm -> new entry
   const ops::Model renamed = tiny_model("other");  // same structure, new name
-  bool hit = false;
-  cache.get(renamed, "hios-lp", two, &hit);
-  EXPECT_TRUE(hit);                    // fingerprint ignores the name
+  CacheOutcome outcome = CacheOutcome::kMiss;
+  cache.get(renamed, "hios-lp", two, {}, &outcome);
+  EXPECT_EQ(outcome, CacheOutcome::kHit);  // fingerprint ignores the name
   EXPECT_EQ(cache.size(), 3u);
 }
 
@@ -119,9 +119,9 @@ TEST(ScheduleCache, KeyCoversEverySchedulerConfigField) {
 
   sched::SchedulerConfig one_stream = config;
   one_stream.max_streams = 1;
-  bool hit = true;
-  const auto serial = cache.get(m, "hios-lp", one_stream, &hit);
-  EXPECT_FALSE(hit);
+  CacheOutcome outcome = CacheOutcome::kHit;
+  const auto serial = cache.get(m, "hios-lp", one_stream, {}, &outcome);
+  EXPECT_EQ(outcome, CacheOutcome::kMiss);
   const auto direct = sched::make_scheduler("hios-lp")->schedule(
       serial->profiled.graph, *serial->profiled.cost, one_stream);
   EXPECT_EQ(serial->latency_ms, direct.latency_ms);
@@ -135,10 +135,10 @@ TEST(ScheduleCache, KeyCoversEverySchedulerConfigField) {
   variants[2].ios_frontier_cap = 5;
   variants[3].ios_beam_width = 8;
   for (const sched::SchedulerConfig& variant : variants) {
-    cache.get(m, "hios-lp", variant, &hit);
-    EXPECT_FALSE(hit);
-    cache.get(m, "hios-lp", variant, &hit);
-    EXPECT_TRUE(hit);
+    cache.get(m, "hios-lp", variant, {}, &outcome);
+    EXPECT_EQ(outcome, CacheOutcome::kMiss);
+    cache.get(m, "hios-lp", variant, {}, &outcome);
+    EXPECT_EQ(outcome, CacheOutcome::kHit);
   }
   EXPECT_EQ(cache.size(), 6u);
 }
@@ -148,35 +148,35 @@ TEST(ScheduleCache, TopologyMaskKeysSurvivorPlans) {
   const ops::Model m = tiny_model();
   sched::SchedulerConfig config;
   config.num_gpus = 4;
-  bool hit = false;
-  auto full = cache.get(m, "hios-lp", config, &hit);
-  EXPECT_FALSE(hit);
+  CacheOutcome outcome = CacheOutcome::kHit;
+  auto full = cache.get(m, "hios-lp", config, {}, &outcome);
+  EXPECT_EQ(outcome, CacheOutcome::kMiss);
   EXPECT_EQ(full->topo_mask, kFullMask);
   EXPECT_EQ(full->gpus, (std::vector<int>{0, 1, 2, 3}));
 
   // A survivor mask builds (and caches) a distinct plan on fewer GPUs.
-  auto degraded = cache.get(m, "hios-lp", config, TopologyVersion{0b0111u, 0}, &hit);
-  EXPECT_FALSE(hit);
+  auto degraded = cache.get(m, "hios-lp", config, TopologyVersion{0b0111u, 0}, &outcome);
+  EXPECT_EQ(outcome, CacheOutcome::kMiss);
   EXPECT_EQ(degraded->topo_mask, 0b0111u);
   EXPECT_EQ(degraded->gpus, (std::vector<int>{0, 1, 2}));
   EXPECT_NE(degraded.get(), full.get());
-  cache.get(m, "hios-lp", config, TopologyVersion{0b0111u, 0}, &hit);
-  EXPECT_TRUE(hit);
+  cache.get(m, "hios-lp", config, TopologyVersion{0b0111u, 0}, &outcome);
+  EXPECT_EQ(outcome, CacheOutcome::kHit);
 
-  // The legacy overload is exactly the full-mask entry, and an explicit
-  // all-up mask normalises onto it regardless of how it is spelled.
-  auto legacy = cache.get(m, "hios-lp", config, &hit);
-  EXPECT_TRUE(hit);
-  EXPECT_EQ(legacy.get(), full.get());
-  cache.get(m, "hios-lp", config, TopologyVersion{0b1111u, 0}, &hit);
-  EXPECT_TRUE(hit);
+  // The default TopologyVersion is exactly the full-mask entry, and an
+  // explicit all-up mask normalises onto it regardless of how it is spelled.
+  auto again = cache.get(m, "hios-lp", config, {}, &outcome);
+  EXPECT_EQ(outcome, CacheOutcome::kHit);
+  EXPECT_EQ(again.get(), full.get());
+  cache.get(m, "hios-lp", config, TopologyVersion{0b1111u, 0}, &outcome);
+  EXPECT_EQ(outcome, CacheOutcome::kHit);
 
   // A link-topology generation bump opens a fresh plan space (satellite b:
   // no stale survivor plan can be served across a topology change).
-  cache.get(m, "hios-lp", config, TopologyVersion{0b0111u, 1}, &hit);
-  EXPECT_FALSE(hit);
+  cache.get(m, "hios-lp", config, TopologyVersion{0b0111u, 1}, &outcome);
+  EXPECT_EQ(outcome, CacheOutcome::kMiss);
 
-  EXPECT_THROW(cache.get(m, "hios-lp", config, TopologyVersion{0u, 0}, &hit), Error);
+  EXPECT_THROW(cache.get(m, "hios-lp", config, TopologyVersion{0u, 0}), Error);
 }
 
 TEST(PlanPool, PrewarmMakesDegradedLookupsWarm) {
@@ -188,25 +188,23 @@ TEST(PlanPool, PrewarmMakesDegradedLookupsWarm) {
 
   // Prewarm builds the full plan + every single-GPU-down survivor set.
   EXPECT_EQ(pool.prewarm(m, kFullMask, 0), 5u);
-  EXPECT_EQ(pool.prewarm_builds(), 5u);
+  EXPECT_EQ(cache.misses(), 5u);
 
-  bool hit = false;
-  auto plan = pool.plan_for(m, 0b1011u, 0, &hit);  // GPU 2 down
-  EXPECT_TRUE(hit);
+  CacheOutcome outcome = CacheOutcome::kMiss;
+  auto plan = pool.plan_for(m, 0b1011u, 0, &outcome);  // GPU 2 down
+  EXPECT_EQ(outcome, CacheOutcome::kHit);
   EXPECT_EQ(plan->gpus, (std::vector<int>{0, 1, 3}));
-  EXPECT_EQ(pool.hits(), 1u);
-  EXPECT_EQ(pool.misses(), 0u);
 
   // A mask prewarm did not cover (two GPUs down) is cold exactly once.
-  pool.plan_for(m, 0b0011u, 0, &hit);
-  EXPECT_FALSE(hit);
-  pool.plan_for(m, 0b0011u, 0, &hit);
-  EXPECT_TRUE(hit);
-  EXPECT_EQ(pool.misses(), 1u);
+  pool.plan_for(m, 0b0011u, 0, &outcome);
+  EXPECT_EQ(outcome, CacheOutcome::kMiss);
+  pool.plan_for(m, 0b0011u, 0, &outcome);
+  EXPECT_EQ(outcome, CacheOutcome::kHit);
+  EXPECT_EQ(cache.misses(), 6u);
 
   // Re-prewarming an already-warm pool performs no builds.
   EXPECT_EQ(pool.prewarm(m, kFullMask, 0), 0u);
-  EXPECT_EQ(pool.prewarm_builds(), 5u);
+  EXPECT_EQ(cache.misses(), 6u);
 }
 
 TEST(ServerOptions, ValidateRejectsBadFields) {
@@ -220,14 +218,11 @@ TEST(ServerOptions, ValidateRejectsBadFields) {
     EXPECT_THROW(bad.validate(), Error);
   };
   expect_invalid([](ServerOptions& o) { o.slots_per_gpu = 0; });
+  expect_invalid([](ServerOptions& o) { o.slots_per_gpu = 1 << 20; });
   expect_invalid([](ServerOptions& o) { o.queue_capacity = 0; });
   expect_invalid([](ServerOptions& o) { o.platform.name.clear(); });
   expect_invalid([](ServerOptions& o) { o.algorithm.clear(); });
-  expect_invalid([](ServerOptions& o) { o.request_demand = 0.0; });
-  expect_invalid([](ServerOptions& o) { o.request_demand = 1.5; });
-  expect_invalid([](ServerOptions& o) { o.max_retries = -1; });
   expect_invalid([](ServerOptions& o) { o.retry_backoff_ms = -1.0; });
-  expect_invalid([](ServerOptions& o) { o.retry_backoff_multiplier = 0.5; });
   expect_invalid([](ServerOptions& o) { o.hedge_min_samples = 0; });
   expect_invalid([](ServerOptions& o) { o.health.probe_backoff_ms = 0.0; });
 }
@@ -243,8 +238,9 @@ TEST(Metrics, DegradedModeCountersConserve) {
   m.on_retried();
   m.on_hedged();
   m.on_hedge_won();
-  m.on_pool_result(true);
-  m.on_pool_result(false);
+  m.on_pool_result(CacheOutcome::kHit);
+  m.on_pool_result(CacheOutcome::kMiss);
+  m.on_pool_result(CacheOutcome::kCoalesced);  // did not pay the build: a hit
   m.on_pool_prewarm(3);
   m.on_health_transition();
   m.on_probe(true);
@@ -256,7 +252,7 @@ TEST(Metrics, DegradedModeCountersConserve) {
   EXPECT_EQ(s.retried, 1);
   EXPECT_EQ(s.hedged, 1);
   EXPECT_EQ(s.hedge_won, 1);
-  EXPECT_EQ(s.pool_hits, 1);
+  EXPECT_EQ(s.pool_hits, 2);
   EXPECT_EQ(s.pool_misses, 1);
   EXPECT_EQ(s.pool_prewarm_builds, 3);
   EXPECT_EQ(s.health_transitions, 1);
