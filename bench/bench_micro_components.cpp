@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the scheduler building blocks:
 // these are the inner-loop costs that determine Fig. 14's algorithm-runtime
 // component — CompiledGraph construction, HIOS-LP's path-on-GPU trials on
-// ListScheduleState, and Alg. 2's merge candidates on ScheduleState.
+// ListScheduleState, and Alg. 2's merge candidates on ScheduleState and its
+// whole pass.
 // `bench_micro_smoke` (ctest) runs every case once briefly.
 #include <benchmark/benchmark.h>
 
@@ -101,6 +102,32 @@ void BM_ScheduleStateMergeCandidate(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ScheduleStateMergeCandidate)->Arg(100)->Arg(400);
+
+// The whole Alg. 2 pass on the Fig. 14 case (512 ops, 4 GPUs) from its
+// HIOS-LP placement. Counters: windows considered and windows scored (the
+// rest lie off the critical path and are skipped, DESIGN.md §6d).
+void BM_Parallelize(benchmark::State& state) {
+  models::RandomDagParams p;
+  p.num_ops = 512;
+  p.num_layers = 22;
+  p.num_deps = 1024;
+  p.seed = 7;
+  const graph::Graph g = models::random_dag(p);
+  const graph::CompiledGraph cg(g);
+  const cost::TableCostModel table;
+  sched::SchedulerConfig config;
+  config.num_gpus = 4;
+  const auto placed = sched::make_scheduler("inter-lp")->schedule(g, table, config);
+  sched::ParallelizeResult r;
+  for (auto _ : state) {
+    const cost::StageTimeCache cost(table);
+    r = sched::parallelize(cg, placed.schedule, cost, config.window);
+    benchmark::DoNotOptimize(r.latency_ms);
+  }
+  state.counters["candidates_tried"] = r.candidates_tried;
+  state.counters["candidates_evaluated"] = r.candidates_evaluated;
+}
+BENCHMARK(BM_Parallelize)->Unit(benchmark::kMillisecond);
 
 void BM_StageTimeEval(benchmark::State& state) {
   const graph::Graph g = test_graph(64);

@@ -1,24 +1,36 @@
 #include "core/experiment.h"
 
+#include <algorithm>
+
 #include "sched/validate.h"
 
 namespace hios::core {
 
+std::size_t CountingCostModel::SetHash::operator()(
+    const std::vector<graph::NodeId>& ops) const {
+  std::size_t h = 1469598103934665603ULL;
+  for (graph::NodeId v : ops) h = (h ^ static_cast<std::size_t>(v)) * 1099511628211ULL;
+  return h;
+}
+
 double CountingCostModel::stage_time(const graph::Graph& g,
                                      std::span<const graph::NodeId> stage) const {
   const double t = inner_.stage_time(g, stage);
-  // Hash the op set (order-independent: ops within a stage are unique).
-  std::size_t h = 1469598103934665603ULL;
-  std::size_t key_sum = 0, key_xor = 0;
-  for (graph::NodeId v : stage) {
-    key_sum += static_cast<std::size_t>(v) * 0x9e3779b97f4a7c15ULL;
-    key_xor ^= (static_cast<std::size_t>(v) + 0x165667b19e3779f9ULL) * 0xff51afd7ed558ccdULL;
-  }
-  h ^= key_sum;
-  h *= 1099511628211ULL;
-  h ^= key_xor;
-  if (seen_.insert(h).second) measured_ms_ += t;
+  std::vector<graph::NodeId> key(stage.begin(), stage.end());
+  std::ranges::sort(key);
+  std::lock_guard<std::mutex> lock(mu_);
+  if (seen_.insert(std::move(key)).second) measured_ms_ += t;
   return t;
+}
+
+std::size_t CountingCostModel::distinct_stages() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return seen_.size();
+}
+
+double CountingCostModel::measured_ms() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return measured_ms_;
 }
 
 double CountingCostModel::demand(const graph::Graph& g, graph::NodeId v) const {

@@ -11,6 +11,7 @@
 
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -21,8 +22,9 @@
 namespace hios::core {
 
 /// Decorator counting the distinct (stage -> time) measurements a
-/// profile-based scheduler would perform against this cost model. Not
-/// synchronised: use one instance from one thread, e.g. one schedule() call.
+/// profile-based scheduler would perform against this cost model. A stage
+/// is a set: its key is the sorted op-id list, compared exactly, so {3, 2}
+/// and {2, 3} count once. Safe to share between threads (one lock).
 /// Topology and per-GPU speed factors are copied from the inner model, so
 /// transfer_time / node_time answer exactly as the inner model would.
 class CountingCostModel final : public cost::CostModel {
@@ -37,12 +39,17 @@ class CountingCostModel final : public cost::CostModel {
   double demand(const graph::Graph& g, graph::NodeId v) const override;
 
   /// Number of distinct stages queried and the sum of their times (ms).
-  std::size_t distinct_stages() const { return seen_.size(); }
-  double measured_ms() const { return measured_ms_; }
+  std::size_t distinct_stages() const;
+  double measured_ms() const;
 
  private:
+  struct SetHash {
+    std::size_t operator()(const std::vector<graph::NodeId>& ops) const;
+  };
+
   const cost::CostModel& inner_;
-  mutable std::unordered_set<std::size_t> seen_;
+  mutable std::mutex mu_;
+  mutable std::unordered_set<std::vector<graph::NodeId>, SetHash> seen_;
   mutable double measured_ms_ = 0.0;
 };
 

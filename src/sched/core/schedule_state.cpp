@@ -40,6 +40,7 @@ void ScheduleState::load(const Schedule& schedule) {
   mark_gen_ = 0;
   frontier_.clear();
   frontier_.reserve(cap);
+  on_path_.assign(cap, 0);
 
   const graph::Graph& g = cg_.graph();
   stage_time_.resize(cap);
@@ -57,6 +58,7 @@ void ScheduleState::load(const Schedule& schedule) {
   }
 
   rebuild_reach();
+  mark_critical_path();
 }
 
 void ScheduleState::rebuild_reach() {
@@ -190,6 +192,57 @@ void ScheduleState::commit_merge() {
     }
   }
   reach_[static_cast<std::size_t>(p.rep)] = std::move(U);
+  // The last run_eval timed a candidate; re-time the committed state.
+  mark_critical_path();
+}
+
+void ScheduleState::mark_critical_path() {
+  std::ranges::fill(on_path_, 0);
+  path_known_ = false;
+  if (!run_eval()) return;  // deadlock: no path, prune nothing
+  int s = -1;
+  for (std::size_t sid = 0; sid < alive_.size() && s < 0; ++sid)
+    if (alive_[sid] && finish_[sid] == latency_) s = static_cast<int>(sid);
+  if (s < 0) return;  // no stages
+
+  // Walk back from a last-finishing stage. run_eval set each start to
+  // std::max over 0, the chain predecessor's finish and each data
+  // predecessor's finish + transfer, and std::max returns one of its
+  // operands, so some predecessor matches the start exactly unless it is 0.
+  const graph::Graph& g = cg_.graph();
+  for (;;) {
+    const auto us = static_cast<std::size_t>(s);
+    on_path_[us] = 1;
+    const double start = start_[us];
+    if (start == 0.0) break;
+    int pred = -1;
+    if (const int pos = pos_of_[us]; pos > 0) {
+      const int chain = gpu_list_[static_cast<std::size_t>(stage_gpu_[us])]
+                                 [static_cast<std::size_t>(pos - 1)];
+      if (finish_[static_cast<std::size_t>(chain)] == start) pred = chain;
+    }
+    for (graph::NodeId v : ops_[us]) {
+      for (graph::EdgeId e : cg_.in_edges(v)) {
+        const int su = node_stage_[static_cast<std::size_t>(g.edge(e).src)];
+        if (pred < 0 && su != s &&
+            finish_[static_cast<std::size_t>(su)] + edge_transfer_[static_cast<std::size_t>(e)] ==
+                start)
+          pred = su;
+      }
+    }
+    if (pred < 0) return;  // the walk failed: path_known_ stays false
+    s = pred;
+  }
+  path_known_ = true;
+}
+
+bool ScheduleState::window_on_critical_path(int gpu, int pos, int extent) const {
+  HIOS_ASSERT(!pending_.has_value(), "window_on_critical_path: a merge is pending");
+  if (!path_known_) return true;
+  const auto& list = gpu_list_[static_cast<std::size_t>(gpu)];
+  for (int k = 0; k <= extent; ++k)
+    if (on_path_[static_cast<std::size_t>(list[static_cast<std::size_t>(pos + k)])]) return true;
+  return false;
 }
 
 bool ScheduleState::run_eval() {

@@ -21,7 +21,9 @@
 //     instead of an O(S^2)-ish rebuild — merging pairwise-independent
 //     stages adds exactly the paths {x ->* s_i} x {s_j ->* y}, so
 //     reach[s] |= U (U = union of the members' reach sets) for every s
-//     reaching any member covers the new closure (see DESIGN.md §6d).
+//     reaching any member covers the new closure (see DESIGN.md §6d);
+//   * one critical path of the committed state is marked at load() and at
+//     every commit, so Alg. 2 can skip windows that cannot win.
 //
 // Evaluation is bit-identical to sched::evaluate_schedule (the retained
 // reference implementation, over sched::StageDag): the
@@ -93,6 +95,13 @@ class ScheduleState {
   /// incrementally. The merged stages must have been pairwise independent.
   void commit_merge();
 
+  /// False only when a critical path of the committed state is known and
+  /// no stage at positions [pos, pos + extent] on `gpu` lies on it: merging
+  /// such a window leaves that path's timing intact, so the merged latency
+  /// is >= the committed one, bit for bit (DESIGN.md §6d). load() and
+  /// commit_merge() mark the path. Query before apply_merge().
+  bool window_on_critical_path(int gpu, int pos, int extent) const;
+
   /// True when neither alive stage reaches the other through data edges
   /// (the condensed-graph independence test of Alg. 2). Ignores any
   /// pending merge: query before apply_merge().
@@ -116,6 +125,8 @@ class ScheduleState {
 
   void rebuild_reach();
   bool run_eval();  ///< fills start_/finish_/latency_; false on deadlock
+  /// Evaluates the committed state and marks one critical path in on_path_.
+  void mark_critical_path();
 
   const graph::CompiledGraph& cg_;
   const cost::CostModel& cost_;
@@ -145,6 +156,12 @@ class ScheduleState {
   std::vector<int> mark_;
   int mark_gen_ = 0;
   double latency_ = 0.0;
+
+  // One critical path of the committed state, by stable id; when the
+  // backward walk fails (or the state deadlocks) path_known_ is false and
+  // no window is pruned.
+  std::vector<char> on_path_;
+  bool path_known_ = false;
 };
 
 }  // namespace hios::sched

@@ -25,46 +25,49 @@ Schedule place_mapping_recording(const graph::CompiledGraph& cg, const cost::Cos
   t[0][0] = cost.node_time(g, order[0], 0);
   back[0][0] = 0;
 
-  // Scratch for the backtracked partial schedule (finish time + GPU per rank).
+  // Scratch for the backtracked partial schedule: finish time + GPU per
+  // rank, and each GPU's last finish.
   std::vector<double> fin(static_cast<std::size_t>(n));
   std::vector<int> gpu_of(static_cast<std::size_t>(n));
+  std::vector<double> tail(static_cast<std::size_t>(m));
 
   for (int i = 1; i < n; ++i) {
     const graph::NodeId vi = order[static_cast<std::size_t>(i)];
     const int j_max = std::min(m, i + 1);  // GPUs 0..min(M,i+1)-1
     const int k_max = std::min(m, i);
-    for (int j = 0; j < j_max; ++j) {
-      for (int k = 0; k < k_max; ++k) {
-        if (t[static_cast<std::size_t>(i - 1)][static_cast<std::size_t>(k)] == kInf) continue;
-        // Lines 9-12: reconstruct the recorded schedule of v_1..v_{i-1}
-        // that ends with v_{i-1} on GPU k.
-        int cur = k;
-        for (int l = i - 1; l >= 0; --l) {
-          fin[static_cast<std::size_t>(l)] = t[static_cast<std::size_t>(l)][static_cast<std::size_t>(cur)];
-          gpu_of[static_cast<std::size_t>(l)] = cur;
-          cur = back[static_cast<std::size_t>(l)][static_cast<std::size_t>(cur)];
-        }
-        // Lines 13-19: earliest start of v_i on GPU j under that schedule.
-        double start = 0.0;
-        for (int l = 0; l < i; ++l) {
-          if (gpu_of[static_cast<std::size_t>(l)] == j)
-            start = std::max(start, fin[static_cast<std::size_t>(l)]);
-        }
-        bool feasible = true;
+    // k outer, j inner: the recorded chain depends on k only, so it is
+    // backtracked once per (i, k); for each j the k values are still
+    // visited in ascending order under a strict <, so ties are unchanged.
+    for (int k = 0; k < k_max; ++k) {
+      if (t[static_cast<std::size_t>(i - 1)][static_cast<std::size_t>(k)] == kInf) continue;
+      // Lines 9-12: reconstruct the recorded schedule of v_1..v_{i-1}
+      // that ends with v_{i-1} on GPU k, and each GPU's last finish in it.
+      std::ranges::fill(tail, 0.0);
+      int cur = k;
+      for (int l = i - 1; l >= 0; --l) {
+        const double f = t[static_cast<std::size_t>(l)][static_cast<std::size_t>(cur)];
+        fin[static_cast<std::size_t>(l)] = f;
+        gpu_of[static_cast<std::size_t>(l)] = cur;
+        tail[static_cast<std::size_t>(cur)] = std::max(tail[static_cast<std::size_t>(cur)], f);
+        cur = back[static_cast<std::size_t>(l)][static_cast<std::size_t>(cur)];
+      }
+      bool feasible = true;
+      for (graph::EdgeId e : cg.in_edges(vi)) {
+        const int l = cg.rank(g.edge(e).src);
+        HIOS_ASSERT(l < i, "priority order not topological");
+        feasible = feasible && fin[static_cast<std::size_t>(l)] != kInf;
+      }
+      if (!feasible) continue;
+      // Lines 13-19: earliest start of v_i on each GPU j under that schedule.
+      for (int j = 0; j < j_max; ++j) {
+        double start = tail[static_cast<std::size_t>(j)];
         for (graph::EdgeId e : cg.in_edges(vi)) {
-          const graph::Edge& edge = g.edge(e);
-          const int l = cg.rank(edge.src);
-          HIOS_ASSERT(l < i, "priority order not topological");
-          if (fin[static_cast<std::size_t>(l)] == kInf) {
-            feasible = false;
-            break;
-          }
+          const int l = cg.rank(g.edge(e).src);
           const double arrival =
               fin[static_cast<std::size_t>(l)] +
               cost.transfer_time(g, e, gpu_of[static_cast<std::size_t>(l)], j);
           start = std::max(start, arrival);
         }
-        if (!feasible) continue;
         const double finish = start + cost.node_time(g, vi, j);
         if (finish < t[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)]) {
           t[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)] = finish;

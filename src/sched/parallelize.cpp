@@ -49,11 +49,14 @@ ParallelizeResult parallelize(const graph::CompiledGraph& cg, Schedule schedule,
           }
         }
         if (!ok) break;  // dependency blocks this and any larger window
+        ++result.candidates_tried;
+        // Off the critical path, the merge cannot beat `latency` (§6d).
+        if (!state.window_on_critical_path(gpu, pos, extent)) continue;
 
         state.apply_merge(gpu, pos, extent);
         const auto cand = state.evaluate_latency();
         state.undo_merge();
-        ++result.candidates_tried;
+        ++result.candidates_evaluated;
         if (cand.has_value() && *cand < best_latency) {
           best_latency = *cand;
           best_extent = extent;

@@ -22,7 +22,9 @@
 // Implementation (see DESIGN.md §6d): candidates are scored on a
 // sched::ScheduleState with the apply -> evaluate -> undo | commit
 // protocol — no Schedule deep copies, no from-scratch re-evaluation, and
-// stage reachability is maintained incrementally across commits. Callers
+// stage reachability is maintained incrementally across commits. A window
+// holding no stage of the committed state's critical path cannot lower the
+// latency and is skipped without being scored (exact; DESIGN.md §6d). Callers
 // that already hold a CompiledGraph (HIOS-LP / HIOS-MR) pass it in so the
 // priority order is computed once per schedule() call, not again here.
 #pragma once
@@ -38,7 +40,8 @@ struct ParallelizeResult {
   Schedule schedule;
   double latency_ms = 0.0;
   int merges_accepted = 0;
-  int candidates_tried = 0;
+  int candidates_tried = 0;      ///< windows considered (independent stages)
+  int candidates_evaluated = 0;  ///< windows scored; the rest were off the critical path
 };
 
 /// Runs Alg. 2 on a pre-compiled graph (the priority order is taken from

@@ -30,6 +30,10 @@ std::size_t PlanPool::prewarm(const ops::Model& model, uint32_t mask,
   for (int g = 0; g < width; ++g) {
     if (current & (1u << g)) enqueue(current & ~(1u << g));
   }
+  // After most health transitions every mask is already warm: then no
+  // parallel section is opened at all.
+  masks = cache_.cold_masks(model, algorithm_, config_, masks, generation);
+  if (masks.empty()) return 0;
 
   // The masks are distinct cache keys, so their cold builds are
   // independent; run them on the shared pool. Repeat masks across

@@ -48,12 +48,14 @@ class PlanPool {
                                              CacheOutcome* outcome = nullptr);
 
   /// Ensures warm plans for `mask` and every single-GPU-down subset of it
-  /// (skipping subsets with no survivor). The masks are distinct cache
-  /// keys, so the cold builds run concurrently on the shared thread pool
-  /// (util::global_pool()); each build is one single-threaded schedule()
-  /// call. Returns how many cold builds this call performed
-  /// (0 = everything was already warm; a build coalesced with another
-  /// caller's in-flight build does not count).
+  /// (skipping subsets with no survivor). Warm masks are filtered out first
+  /// by ScheduleCache::cold_masks, which moves no cache counter; the cold
+  /// ones are distinct cache keys, so their builds run concurrently on the
+  /// shared thread pool (util::global_pool()), which is not entered at all
+  /// when every mask is warm. Each build is one single-threaded schedule()
+  /// call. Returns how many cold builds this call performed (0 =
+  /// everything was already warm; a build coalesced with another caller's
+  /// in-flight build does not count).
   std::size_t prewarm(const ops::Model& model, uint32_t mask, uint64_t generation);
 
  private:

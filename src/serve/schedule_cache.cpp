@@ -13,6 +13,10 @@ double now_ms() {
       .count();
 }
 
+uint32_t width_mask_of(int num_gpus) {
+  return num_gpus >= 32 ? kFullMask : (1u << num_gpus) - 1u;
+}
+
 /// Platform GPU ids named by `mask` within [0, num_gpus), ascending.
 std::vector<int> survivor_gpus(uint32_t mask, int num_gpus) {
   std::vector<int> out;
@@ -23,24 +27,42 @@ std::vector<int> survivor_gpus(uint32_t mask, int num_gpus) {
 }
 }  // namespace
 
+ScheduleCache::Key ScheduleCache::make_key(uint64_t model_fp, const std::string& algorithm,
+                                           const sched::SchedulerConfig& config,
+                                           TopologyVersion topo) {
+  HIOS_CHECK(config.num_gpus >= 1 && config.num_gpus <= 32,
+             "ScheduleCache: config.num_gpus must be in [1, 32] (got " << config.num_gpus
+                                                                      << ")");
+  const uint32_t width_mask = width_mask_of(config.num_gpus);
+  uint32_t mask = topo.mask & width_mask;
+  HIOS_CHECK(mask != 0, "ScheduleCache: topology mask leaves no survivor GPU");
+  // Normalise: the full survivor set always keys as kFullMask, so the
+  // default TopologyVersion and an explicit all-up mask share one entry.
+  if (mask == width_mask) mask = kFullMask;
+  return Key{model_fp, config, mask, topo.generation, algorithm};
+}
+
+std::vector<uint32_t> ScheduleCache::cold_masks(const ops::Model& model,
+                                                const std::string& algorithm,
+                                                const sched::SchedulerConfig& config,
+                                                std::span<const uint32_t> masks,
+                                                uint64_t generation) const {
+  const uint64_t fp = model.fingerprint();
+  std::vector<uint32_t> cold;
+  std::lock_guard<std::mutex> lock(mu_);
+  for (uint32_t mask : masks) {
+    const auto it = map_.find(make_key(fp, algorithm, config, {mask, generation}));
+    if (it == map_.end() || it->second.plan == nullptr) cold.push_back(mask);
+  }
+  return cold;
+}
+
 std::shared_ptr<const CachedPlan> ScheduleCache::get(const ops::Model& model,
                                                      const std::string& algorithm,
                                                      const sched::SchedulerConfig& config,
                                                      TopologyVersion topo,
                                                      CacheOutcome* outcome) {
-  HIOS_CHECK(config.num_gpus >= 1 && config.num_gpus <= 32,
-             "ScheduleCache::get: config.num_gpus must be in [1, 32] (got "
-                 << config.num_gpus << ")");
-  const uint32_t width_mask = config.num_gpus >= 32
-                                  ? kFullMask
-                                  : (1u << config.num_gpus) - 1u;
-  uint32_t mask = topo.mask & width_mask;
-  HIOS_CHECK(mask != 0, "ScheduleCache::get: topology mask leaves no survivor GPU");
-  // Normalise: the full survivor set always keys as kFullMask, so the
-  // default TopologyVersion and an explicit all-up mask share one entry.
-  if (mask == width_mask) mask = kFullMask;
-
-  const Key key{model.fingerprint(), config, mask, topo.generation, algorithm};
+  const Key key = make_key(model.fingerprint(), algorithm, config, topo);
 
   std::promise<std::shared_ptr<const CachedPlan>> promise;
   {
@@ -68,7 +90,7 @@ std::shared_ptr<const CachedPlan> ScheduleCache::get(const ops::Model& model,
   // Cold build outside the lock: warm hits and other keys proceed meanwhile.
   std::shared_ptr<const CachedPlan> plan;
   try {
-    plan = build_plan(model, algorithm, config, mask, width_mask);
+    plan = build_plan(model, algorithm, config, key.topo_mask);
   } catch (...) {
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -89,11 +111,10 @@ std::shared_ptr<const CachedPlan> ScheduleCache::get(const ops::Model& model,
 
 std::shared_ptr<const CachedPlan> ScheduleCache::build_plan(
     const ops::Model& model, const std::string& algorithm,
-    const sched::SchedulerConfig& config, uint32_t mask, uint32_t width_mask) {
+    const sched::SchedulerConfig& config, uint32_t mask) {
   const double t0 = now_ms();
-  const std::vector<int> gpus =
-      mask == kFullMask ? survivor_gpus(width_mask, config.num_gpus)
-                        : survivor_gpus(mask, config.num_gpus);
+  const std::vector<int> gpus = survivor_gpus(
+      mask == kFullMask ? width_mask_of(config.num_gpus) : mask, config.num_gpus);
   const int n = static_cast<int>(gpus.size());
 
   // Schedule on the survivor slice of the platform: n GPUs, and — when the

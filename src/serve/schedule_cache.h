@@ -38,6 +38,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -99,6 +100,14 @@ class ScheduleCache {
                                         TopologyVersion topo = {},
                                         CacheOutcome* outcome = nullptr);
 
+  /// The entries of `masks` whose plan (same arguments as get(), under link
+  /// generation `generation`) is not built yet, in order; a key still being
+  /// built counts as cold. One fingerprint and one lock for all of them,
+  /// and no counter moves.
+  std::vector<uint32_t> cold_masks(const ops::Model& model, const std::string& algorithm,
+                                   const sched::SchedulerConfig& config,
+                                   std::span<const uint32_t> masks, uint64_t generation) const;
+
   std::size_t hits() const;
   std::size_t misses() const;
   /// Lookups that waited on another call's in-flight build.
@@ -136,12 +145,16 @@ class ScheduleCache {
     std::shared_future<std::shared_ptr<const CachedPlan>> pending;
   };
 
-  /// Runs the cold build (profile + schedule) for `key`'s survivor slice.
-  /// Called without mu_ held.
+  /// Checks the arguments and builds their (normalised) key.
+  static Key make_key(uint64_t model_fp, const std::string& algorithm,
+                      const sched::SchedulerConfig& config, TopologyVersion topo);
+
+  /// Runs the cold build (profile + schedule) for the survivor slice `mask`
+  /// (normalised: kFullMask is every GPU). Called without mu_ held.
   std::shared_ptr<const CachedPlan> build_plan(const ops::Model& model,
                                                const std::string& algorithm,
                                                const sched::SchedulerConfig& config,
-                                               uint32_t mask, uint32_t width_mask);
+                                               uint32_t mask);
 
   cost::Platform platform_;
   mutable std::mutex mu_;

@@ -190,6 +190,40 @@ TEST(SchedParallel, StageCacheExactUnderConcurrentCallers) {
   EXPECT_EQ(cached.misses(), stages.size());
 }
 
+// core::CountingCostModel shared by several callers: each distinct op set
+// is counted once (in any op order) and its time summed once.
+TEST(SchedParallel, CountingModelExactUnderConcurrentCallers) {
+  const graph::Graph g = make_dag(77);
+  const auto n = static_cast<graph::NodeId>(g.num_nodes());
+  std::vector<std::vector<graph::NodeId>> sets;
+  double total_ms = 0.0;
+  for (graph::NodeId v = 0; v + 1 < n; ++v) {
+    sets.push_back({v, v + 1});
+    total_ms += kCost.stage_time(g, sets.back());
+  }
+  const core::CountingCostModel counter(kCost);
+  constexpr int kThreads = 4, kRounds = 25;
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ++ready;
+      while (ready.load() < kThreads) std::this_thread::yield();
+      for (int round = 0; round < kRounds; ++round) {
+        for (const auto& set : sets) {
+          // Odd threads ask for each set in reverse op order: same stage.
+          const std::vector<graph::NodeId> ops =
+              t % 2 == 0 ? set : std::vector<graph::NodeId>{set[1], set[0]};
+          counter.stage_time(g, ops);
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(counter.distinct_stages(), sets.size());
+  EXPECT_NEAR(counter.measured_ms(), total_ms, 1e-9 * total_ms);
+}
+
 // Pool primitives behind PlanPool::prewarm, at several lane counts: every
 // index runs exactly once, the static partition is a function of
 // (n, threads) alone, and the lowest-index chunk's exception is rethrown.

@@ -207,6 +207,34 @@ TEST(PlanPool, PrewarmMakesDegradedLookupsWarm) {
   EXPECT_EQ(cache.misses(), 6u);
 }
 
+// A prewarm that finds every mask warm builds nothing and moves no cache
+// counter; a partly warm one builds exactly the cold masks.
+TEST(PlanPool, WarmPrewarmMovesNoCacheCounter) {
+  ScheduleCache cache(cost::make_a40_server(3));
+  sched::SchedulerConfig config;
+  config.num_gpus = 3;
+  PlanPool pool(cache, "hios-mr", config);
+  const ops::Model m = tiny_model();
+
+  const uint32_t masks[] = {kFullMask, 0b011u, 0b101u, 0b110u};
+  EXPECT_EQ(cache.cold_masks(m, "hios-mr", config, masks, 0).size(), 4u);
+  cache.get(m, "hios-mr", config, TopologyVersion{0b011u, 0});
+  EXPECT_EQ(cache.cold_masks(m, "hios-mr", config, masks, 0),
+            (std::vector<uint32_t>{kFullMask, 0b101u, 0b110u}));
+  EXPECT_EQ(cache.cold_masks(m, "hios-mr", config, masks, 1).size(), 4u);  // new generation
+  EXPECT_EQ(cache.hits(), 0u);
+  EXPECT_EQ(cache.misses(), 1u);
+
+  EXPECT_EQ(pool.prewarm(m, 0b111u, 0), 3u);
+  const std::size_t hits = cache.hits(), misses = cache.misses();
+  EXPECT_EQ(misses, 4u);
+  EXPECT_EQ(pool.prewarm(m, 0b111u, 0), 0u);
+  EXPECT_EQ(pool.prewarm(m, kFullMask, 0), 0u);
+  EXPECT_EQ(cache.hits(), hits);
+  EXPECT_EQ(cache.misses(), misses);
+  EXPECT_EQ(cache.coalesced(), 0u);
+}
+
 TEST(ServerOptions, ValidateRejectsBadFields) {
   ServerOptions opt;
   opt.platform = cost::make_a40_server(2);
