@@ -1,8 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the scheduler building blocks:
 // these are the inner-loop costs that determine Fig. 14's algorithm-runtime
 // component — CompiledGraph construction, HIOS-LP's path-on-GPU trials on
-// ListScheduleState, and Alg. 2's merge candidates on ScheduleState and its
-// whole pass.
+// ListScheduleState, Alg. 2's merge candidates on ScheduleState and its
+// whole pass, and the IOS DP on the zoo models.
 // `bench_micro_smoke` (ctest) runs every case once briefly.
 #include <benchmark/benchmark.h>
 
@@ -163,6 +163,19 @@ BENCHMARK_CAPTURE(BM_Scheduler, sequential, "sequential");
 BENCHMARK_CAPTURE(BM_Scheduler, hios_lp, "hios-lp");
 BENCHMARK_CAPTURE(BM_Scheduler, hios_mr, "hios-mr");
 BENCHMARK_CAPTURE(BM_Scheduler, ios, "ios")->Iterations(3);
+
+// The IOS calls that dominate perfbench zoo-plan: the whole "ios" schedule()
+// on NASNet-A-331 and on RandWire (the paper's wiring), profiled on dual A40.
+void BM_IosZoo(benchmark::State& state, bool nasnet) {
+  const ops::Model model = nasnet ? models::make_nasnet() : models::make_randwire();
+  const cost::ProfiledModel pm = cost::profile_model(model, cost::make_dual_a40_nvlink());
+  sched::SchedulerConfig config;
+  config.num_gpus = 2;
+  const auto scheduler = sched::make_scheduler("ios");
+  for (auto _ : state) benchmark::DoNotOptimize(scheduler->schedule(pm.graph, *pm.cost, config));
+}
+BENCHMARK_CAPTURE(BM_IosZoo, nasnet_331, true)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_IosZoo, randwire_1, false)->Unit(benchmark::kMillisecond);
 
 void BM_ProfileInception(benchmark::State& state) {
   const ops::Model m = models::make_inception_v3();

@@ -1,6 +1,8 @@
 #include "fault/fault_plan.h"
 
 #include <algorithm>
+#include <limits>
+#include <string>
 
 #include "util/rng.h"
 
@@ -41,12 +43,22 @@ void check_keys(const Json& j, const char* context,
   }
 }
 
+/// Reads j[key] as an int, rejecting values the cast would wrap; `context`
+/// names the field in the error ("fail_stops[2]").
+int int_field(const Json& j, const char* key, const std::string& context) {
+  const int64_t value = j.at(key).as_int();
+  HIOS_CHECK(value >= std::numeric_limits<int>::min() && value <= std::numeric_limits<int>::max(),
+             "fault plan: " << context << "." << key << " = " << value
+                            << " does not fit in an int");
+  return static_cast<int>(value);
+}
+
 RetryPolicy retry_from_json(const Json& j) {
   check_keys(j, "retry",
              {"max_attempts", "initial_backoff_ms", "backoff_multiplier",
               "max_backoff_ms"});
   RetryPolicy r;
-  r.max_attempts = static_cast<int>(j.at("max_attempts").as_int());
+  r.max_attempts = int_field(j, "max_attempts", "retry");
   r.initial_backoff_ms = j.at("initial_backoff_ms").as_number();
   r.backoff_multiplier = j.at("backoff_multiplier").as_number();
   r.max_backoff_ms = j.at("max_backoff_ms").as_number();
@@ -177,7 +189,7 @@ FaultPlan FaultPlan::from_json(const Json& json) {
   for (const Json& e : section("fail_stops").as_array()) {
     check_keys(e, "fail_stops", {"gpu", "at_ms"});
     FailStop f;
-    f.gpu = static_cast<int>(e.at("gpu").as_int());
+    f.gpu = int_field(e, "gpu", "fail_stops[" + std::to_string(i) + "]");
     f.at_ms = e.at("at_ms").as_number();
     HIOS_CHECK(f.gpu >= 0,
                "fault plan: fail_stops[" << i << "].gpu must be >= 0 (got " << f.gpu
@@ -192,7 +204,7 @@ FaultPlan FaultPlan::from_json(const Json& json) {
   for (const Json& e : section("stragglers").as_array()) {
     check_keys(e, "stragglers", {"gpu", "from_ms", "slowdown"});
     Straggler s;
-    s.gpu = static_cast<int>(e.at("gpu").as_int());
+    s.gpu = int_field(e, "gpu", "stragglers[" + std::to_string(i) + "]");
     s.from_ms = e.at("from_ms").as_number();
     s.slowdown = e.at("slowdown").as_number();
     HIOS_CHECK(s.gpu >= 0,
@@ -213,8 +225,9 @@ FaultPlan FaultPlan::from_json(const Json& json) {
                {"gpu_a", "gpu_b", "from_ms", "to_ms", "down", "bw_scale",
                 "extra_latency_ms"});
     LinkFault f;
-    f.gpu_a = static_cast<int>(e.at("gpu_a").as_int());
-    f.gpu_b = static_cast<int>(e.at("gpu_b").as_int());
+    const std::string context = "link_faults[" + std::to_string(i) + "]";
+    f.gpu_a = int_field(e, "gpu_a", context);
+    f.gpu_b = int_field(e, "gpu_b", context);
     f.from_ms = e.at("from_ms").as_number();
     f.to_ms = e.contains("to_ms") ? e.at("to_ms").as_number() : kNever;
     f.down = e.at("down").as_bool();

@@ -1,6 +1,21 @@
 #include "graph/graph_json.h"
 
+#include <limits>
+
 namespace hios::graph {
+
+namespace {
+
+/// Reads edges[index].field as a NodeId, rejecting values the cast would wrap.
+NodeId node_id_field(const Json& edge, std::size_t index, const char* field) {
+  const int64_t id = edge.at(field).as_int();
+  HIOS_CHECK(id >= 0 && id <= std::numeric_limits<NodeId>::max(),
+             "graph JSON: edges[" << index << "]." << field << " = " << id
+                                  << " is not a node id");
+  return static_cast<NodeId>(id);
+}
+
+}  // namespace
 
 Json to_json(const Graph& g) {
   Json root = Json::object();
@@ -32,10 +47,10 @@ Graph from_json(const Json& json) {
     g.add_node(node.at("name").as_string(), node.at("weight").as_number(),
                node.at("tag").as_int());
   }
-  for (const Json& edge : json.at("edges").as_array()) {
-    const auto src = static_cast<NodeId>(edge.at("src").as_int());
-    const auto dst = static_cast<NodeId>(edge.at("dst").as_int());
-    g.add_edge(src, dst, edge.at("weight").as_number());
+  const auto& edges = json.at("edges").as_array();
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    g.add_edge(node_id_field(edges[i], i, "src"), node_id_field(edges[i], i, "dst"),
+               edges[i].at("weight").as_number());
   }
   return g;
 }

@@ -39,7 +39,11 @@ Schedule place_mapping_recording(const graph::CompiledGraph& cg, const cost::Cos
 /// priority), stages hold at most min(ios_max_stage_ops, max_streams) ops,
 /// and at most `ios_beam_width` states per down-set size are expanded. With
 /// all three bounds relaxed the DP is exact (the single-GPU oracle in
-/// tests). Always places onto one GPU; config.num_gpus is ignored.
+/// tests). States live in a flat word arena behind an open-addressing
+/// index keyed on Zobrist hashes, and each transition is merged as subset
+/// enumeration produces it (DESIGN.md §6d); stage_time is queried for the
+/// same stages in the same order as the map-based DP this replaced.
+/// Always places onto one GPU; config.num_gpus is ignored.
 Schedule place_ios(const graph::CompiledGraph& cg, const cost::CostModel& cost,
                    const SchedulerConfig& config);
 

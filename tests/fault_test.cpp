@@ -3,6 +3,8 @@
 // failover building blocks (residual graphs + remapped cost models).
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "cost/remap_model.h"
 #include "fault/fault_plan.h"
 #include "models/examples.h"
@@ -157,6 +159,33 @@ TEST(FaultPlan, FromJsonRejectsOutOfRangeValues) {
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find("fail_stops[1]"), std::string::npos)
         << e.what();
+  }
+}
+
+TEST(FaultPlan, FromJsonRejectsIntegersOutsideInt) {
+  // Each of these used to wrap on the cast to int: 2^32 loaded as GPU 0 and
+  // 2^32 + 1 as one retry attempt, both accepted as valid.
+  const char* docs[][2] = {
+      {R"({"fail_stops": [{"gpu": 4294967296, "at_ms": 1.0}]})", "fail_stops[0].gpu"},
+      {R"({"stragglers": [{"gpu": 4294967296, "from_ms": 0.0, "slowdown": 2.0}]})",
+       "stragglers[0].gpu"},
+      {R"({"link_faults": [{"gpu_a": 4294967296, "gpu_b": 1, "from_ms": 0.0, "down": true,
+           "bw_scale": 1.0, "extra_latency_ms": 0.0}]})",
+       "link_faults[0].gpu_a"},
+      {R"({"link_faults": [{"gpu_a": 0, "gpu_b": 4294967297, "from_ms": 0.0, "down": true,
+           "bw_scale": 1.0, "extra_latency_ms": 0.0}]})",
+       "link_faults[0].gpu_b"},
+      {R"({"retry": {"max_attempts": 4294967297, "initial_backoff_ms": 1.0,
+           "backoff_multiplier": 2.0, "max_backoff_ms": 8.0}})",
+       "retry.max_attempts"},
+  };
+  for (const auto& [doc, field] : docs) {
+    try {
+      FaultPlan::from_json(Json::parse(doc));
+      ADD_FAILURE() << field << " outside int must throw";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
+    }
   }
 }
 

@@ -2,6 +2,8 @@
 // robustness under random inputs.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "graph/algorithms.h"
 #include "graph/graph_json.h"
 #include "models/inception.h"
@@ -55,6 +57,26 @@ TEST(GraphJson, MalformedDocumentsThrow) {
   EXPECT_THROW(graph::from_json(Json::parse(R"({"name":"x","nodes":
       [{"name":"a","weight":-1,"tag":-1}],"edges":[]})")),
                Error);  // negative weight
+}
+
+TEST(GraphJson, EdgeEndpointsOutsideNodeIdThrow) {
+  // 2^32 used to wrap to node 0 on the cast to NodeId and load as edge 0 -> 1.
+  const char* doc = R"({"name":"x","nodes":[{"name":"a","weight":1,"tag":-1},
+      {"name":"b","weight":1,"tag":-1}],"edges":[{"src":4294967296,"dst":1,"weight":1}]})";
+  try {
+    (void)graph::from_json(Json::parse(doc));
+    FAIL() << "an edge endpoint of 2^32 must throw";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("edges[0].src"), std::string::npos) << e.what();
+  }
+  EXPECT_THROW(graph::from_json(Json::parse(R"({"name":"x","nodes":
+      [{"name":"a","weight":1,"tag":-1},{"name":"b","weight":1,"tag":-1}],
+      "edges":[{"src":0,"dst":4294967297,"weight":1}]})")),
+               Error);
+  EXPECT_THROW(graph::from_json(Json::parse(R"({"name":"x","nodes":
+      [{"name":"a","weight":1,"tag":-1},{"name":"b","weight":1,"tag":-1}],
+      "edges":[{"src":-4294967296,"dst":1,"weight":1}]})")),
+               Error);
 }
 
 TEST(GraphJson, EmptyGraph) {
