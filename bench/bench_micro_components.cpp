@@ -1,16 +1,19 @@
 // Micro-benchmarks (google-benchmark) for the scheduler building blocks:
 // these are the inner-loop costs that determine Fig. 14's algorithm-runtime
 // component — CompiledGraph construction, HIOS-LP's path-on-GPU trials on
-// ListScheduleState, Alg. 2's merge candidates on ScheduleState and its
-// whole pass, and the IOS DP on the zoo models.
+// ListScheduleState, the whole inter-GPU placements (Alg. 1 and Alg. 3),
+// Alg. 2's merge candidates on ScheduleState and its whole pass, and the IOS
+// DP on the zoo models.
 // `bench_micro_smoke` (ctest) runs every case once briefly.
 #include <benchmark/benchmark.h>
 
 #include "core/hios.h"
 #include "cost/stage_cache.h"
 #include "graph/compiled_graph.h"
+#include "graph/longest_path.h"
 #include "sched/core/list_state.h"
 #include "sched/core/schedule_state.h"
+#include "sched/placement.h"
 
 using namespace hios;
 
@@ -69,6 +72,46 @@ void BM_ListScheduleStatePathTrial(benchmark::State& state) {
 }
 BENCHMARK(BM_ListScheduleStatePathTrial)->Arg(100)->Arg(400);
 
+// The Fig. 14 case (512 ops, 22 layers, 1024 deps, 4 GPUs, table model).
+graph::Graph fig14_graph() {
+  models::RandomDagParams p;
+  p.num_ops = 512;
+  p.num_layers = 22;
+  p.num_deps = 1024;
+  p.seed = 7;
+  return models::random_dag(p);
+}
+
+// Alg. 1's whole placement on the Fig. 14 case. Counters: paths extracted
+// (ValidPathFinder::next calls that found one) and trial recomputes (one
+// suffix re-timing per path and GPU).
+void BM_PlaceLongestPath(benchmark::State& state) {
+  const graph::Graph g = fig14_graph();
+  const graph::CompiledGraph cg(g);
+  const cost::TableCostModel table;
+  sched::SchedulerConfig config;
+  config.num_gpus = 4;
+  for (auto _ : state) benchmark::DoNotOptimize(sched::place_longest_path(cg, table, config));
+  graph::ValidPathFinder finder(g, cg.topo_order());
+  int paths = 0;
+  while (finder.next()) ++paths;
+  state.counters["paths"] = paths;
+  state.counters["trial_recomputes"] = paths * config.num_gpus;
+}
+BENCHMARK(BM_PlaceLongestPath)->Unit(benchmark::kMillisecond);
+
+// Alg. 3's whole placement on the Fig. 14 case.
+void BM_PlaceMappingRecording(benchmark::State& state) {
+  const graph::Graph g = fig14_graph();
+  const graph::CompiledGraph cg(g);
+  const cost::TableCostModel table;
+  sched::SchedulerConfig config;
+  config.num_gpus = 4;
+  for (auto _ : state)
+    benchmark::DoNotOptimize(sched::place_mapping_recording(cg, table, config));
+}
+BENCHMARK(BM_PlaceMappingRecording)->Unit(benchmark::kMillisecond);
+
 // One Alg. 2 merge candidate: apply -> evaluate -> undo on the first pair of
 // independent adjacent stages of an inter-LP schedule.
 void BM_ScheduleStateMergeCandidate(benchmark::State& state) {
@@ -107,12 +150,7 @@ BENCHMARK(BM_ScheduleStateMergeCandidate)->Arg(100)->Arg(400);
 // HIOS-LP placement. Counters: windows considered and windows scored (the
 // rest lie off the critical path and are skipped, DESIGN.md §6d).
 void BM_Parallelize(benchmark::State& state) {
-  models::RandomDagParams p;
-  p.num_ops = 512;
-  p.num_layers = 22;
-  p.num_deps = 1024;
-  p.seed = 7;
-  const graph::Graph g = models::random_dag(p);
+  const graph::Graph g = fig14_graph();
   const graph::CompiledGraph cg(g);
   const cost::TableCostModel table;
   sched::SchedulerConfig config;

@@ -11,11 +11,15 @@
 
 using namespace hios;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   ArgParser args("Execute a scheduled tiny Inception on virtual GPUs");
   args.add_flag("gpus", "2", "number of virtual GPUs (worker threads)")
       .add_flag("algorithm", "hios-lp", "scheduling algorithm");
-  if (!args.parse(argc, argv)) return 0;
+  int gpus = 0;
+  if (!parse_flags_or_exit(args, argc, argv, [&] {
+        gpus = static_cast<int>(args.get_int("gpus", 1, kMaxGpusFlag));
+      }))
+    return 0;
 
   // A thin Inception-v3 so the naive CPU kernels finish in milliseconds.
   models::InceptionV3Options mopt;
@@ -23,7 +27,6 @@ int main(int argc, char** argv) {
   mopt.channel_scale = 16;
   const ops::Model model = models::make_inception_v3(mopt);
 
-  const int gpus = static_cast<int>(args.get_int("gpus"));
   const cost::ProfiledModel pm = cost::profile_model(model, cost::make_a40_server(gpus));
   sched::SchedulerConfig config;
   config.num_gpus = gpus;
@@ -52,4 +55,6 @@ int main(int argc, char** argv) {
               run.latency_ms, result.latency_ms);
   std::printf("\nexecution timeline:\n%s", run.timeline.to_ascii_gantt(90).c_str());
   return max_abs_diff == 0.0 ? 0 : 1;
+} catch (const std::exception& e) {
+  return exit_on_error(e);
 }

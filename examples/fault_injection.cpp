@@ -16,13 +16,16 @@
 
 using namespace hios;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   ArgParser args("Inject a fail-stop fault and recover via rescheduling");
   args.add_flag("gpus", "3", "number of virtual GPUs")
       .add_flag("fail-gpu", "auto", "GPU that fail-stops mid-run (auto = busiest)")
       .add_flag("algorithm", "hios-lp", "scheduling algorithm (primary and recovery)");
-  if (!args.parse(argc, argv)) return 0;
-  const int gpus = static_cast<int>(args.get_int("gpus"));
+  int gpus = 0;
+  if (!parse_flags_or_exit(args, argc, argv, [&] {
+        gpus = static_cast<int>(args.get_int("gpus", 1, kMaxGpusFlag));
+      }))
+    return 0;
 
   // Model + schedule, as in the engine demo.
   models::InceptionV3Options mopt;
@@ -107,4 +110,6 @@ int main(int argc, char** argv) {
               checked, max_abs_diff);
   std::printf("recovered: %s\n", run.metrics.recovered && max_abs_diff == 0.0 ? "yes" : "NO");
   return run.metrics.recovered && max_abs_diff == 0.0 ? 0 : 1;
+} catch (const std::exception& e) {
+  return exit_on_error(e);
 }

@@ -3,8 +3,7 @@
 // compares all six scheduling algorithms, and optionally exports the best
 // schedule's Chrome trace and a GPU-coloured DOT of the computation graph.
 //
-//   ./inception_inference --image_hw 1024 --gpus 2 \
-//       --trace /tmp/inception_trace.json --dot /tmp/inception.dot
+//   ./inception_inference --image_hw 1024 --gpus 2 --trace /tmp/trace.json --dot /tmp/g.dot
 #include <cstdio>
 #include <fstream>
 
@@ -12,7 +11,7 @@
 
 using namespace hios;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   ArgParser args("Inception-v3 scheduling comparison (paper §VI)");
   args.add_flag("image_hw", "1024", "input resolution (>= 75)")
       .add_flag("gpus", "2", "number of virtual GPUs")
@@ -20,12 +19,17 @@ int main(int argc, char** argv) {
       .add_flag("trace", "", "write best schedule's Chrome trace JSON here")
       .add_flag("svg", "", "write best schedule's SVG timeline here")
       .add_flag("dot", "", "write GPU-coloured DOT graph here");
-  if (!args.parse(argc, argv)) return 0;
-
   models::InceptionV3Options mopt;
-  mopt.image_hw = args.get_int("image_hw");
+  int gpus = 0, window = 0;
+  if (!parse_flags_or_exit(args, argc, argv, [&] {
+        mopt.image_hw = args.get_int("image_hw");
+        gpus = static_cast<int>(args.get_int("gpus", 1, kMaxGpusFlag));
+        window = static_cast<int>(args.get_int("window"));
+      }))
+    return 0;
+
   const ops::Model model = models::make_inception_v3(mopt);
-  const cost::Platform platform = cost::make_a40_server(static_cast<int>(args.get_int("gpus")));
+  const cost::Platform platform = cost::make_a40_server(gpus);
   const cost::ProfiledModel pm = cost::profile_model(model, platform);
 
   std::printf("Inception-v3 @ %ldx%ld: %d ops, %d deps, %.1f GFLOP, critical path %.2f ms\n\n",
@@ -36,7 +40,7 @@ int main(int argc, char** argv) {
 
   sched::SchedulerConfig config;
   config.num_gpus = platform.num_gpus;
-  config.window = static_cast<int>(args.get_int("window"));
+  config.window = window;
 
   TextTable table;
   table.set_header({"algorithm", "latency_ms", "vs_sequential", "stages", "sched_ms"});
@@ -91,4 +95,6 @@ int main(int argc, char** argv) {
     std::printf("wrote DOT graph to %s\n", path.c_str());
   }
   return 0;
+} catch (const std::exception& e) {
+  return exit_on_error(e);
 }

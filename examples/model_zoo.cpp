@@ -10,11 +10,14 @@
 
 using namespace hios;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   ArgParser args("HIOS model zoo: compare schedulers across architectures");
   args.add_flag("gpus", "2", "number of virtual GPUs");
-  if (!args.parse(argc, argv)) return 0;
-  const int gpus = static_cast<int>(args.get_int("gpus"));
+  int gpus = 0;
+  if (!parse_flags_or_exit(args, argc, argv, [&] {
+        gpus = static_cast<int>(args.get_int("gpus", 1, kMaxGpusFlag));
+      }))
+    return 0;
 
   struct Entry {
     std::string name;
@@ -58,4 +61,6 @@ int main(int argc, char** argv) {
   std::printf("latencies in ms on %s\n\n%s", cost::make_a40_server(gpus).name.c_str(),
               table.to_string().c_str());
   return 0;
+} catch (const std::exception& e) {
+  return exit_on_error(e);
 }

@@ -9,15 +9,19 @@
 
 using namespace hios;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   ArgParser args("NASNet-A multi-GPU scaling with HIOS-LP");
   args.add_flag("image_hw", "512", "input resolution (>= 32)")
       .add_flag("max_gpus", "4", "sweep GPU count from 1 to this")
       .add_flag("algorithm", "hios-lp", "scheduling algorithm to sweep");
-  if (!args.parse(argc, argv)) return 0;
-
   models::NasnetOptions mopt;
-  mopt.image_hw = args.get_int("image_hw");
+  int max_gpus = 0;
+  if (!parse_flags_or_exit(args, argc, argv, [&] {
+        mopt.image_hw = args.get_int("image_hw");
+        max_gpus = static_cast<int>(args.get_int("max_gpus", 1, kMaxGpusFlag));
+      }))
+    return 0;
+
   const ops::Model model = models::make_nasnet(mopt);
   std::printf("NASNet-A @ %ld: %d ops, %d deps, %.1f GFLOP\n\n",
               static_cast<long>(mopt.image_hw), model.num_compute_ops(),
@@ -27,7 +31,7 @@ int main(int argc, char** argv) {
   TextTable table;
   table.set_header({"gpus", "latency_ms", "speedup", "cross_gpu_deps", "grouped_stages"});
   double base = 0.0;
-  for (int gpus = 1; gpus <= args.get_int("max_gpus"); ++gpus) {
+  for (int gpus = 1; gpus <= max_gpus; ++gpus) {
     const cost::ProfiledModel pm = cost::profile_model(model, cost::make_a40_server(gpus));
     sched::SchedulerConfig config;
     config.num_gpus = gpus;
@@ -52,4 +56,6 @@ int main(int argc, char** argv) {
   std::fputs(table.to_string().c_str(), stdout);
   std::printf("\n(%s; cross_gpu_deps = dependencies paying NVLink transfers)\n", alg.c_str());
   return 0;
+} catch (const std::exception& e) {
+  return exit_on_error(e);
 }

@@ -8,11 +8,15 @@
 
 using namespace hios;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   ArgParser args("HIOS quickstart: schedule a toy multi-branch CNN");
   args.add_flag("algorithm", "hios-lp", "sequential|ios|hios-lp|hios-mr|inter-lp|inter-mr")
       .add_flag("gpus", "2", "number of virtual GPUs");
-  if (!args.parse(argc, argv)) return 0;
+  int gpus = 0;
+  if (!parse_flags_or_exit(args, argc, argv, [&] {
+        gpus = static_cast<int>(args.get_int("gpus", 1, kMaxGpusFlag));
+      }))
+    return 0;
 
   // 1. Describe the model: a 3-branch block over a 256x256 image.
   ops::Model model("quickstart-net");
@@ -39,7 +43,7 @@ int main(int argc, char** argv) {
   // 2. Profile + schedule + simulate in one call.
   core::PipelineOptions options;
   options.algorithm = args.get("algorithm");
-  options.platform = cost::make_a40_server(static_cast<int>(args.get_int("gpus")));
+  options.platform = cost::make_a40_server(gpus);
   const core::PipelineOutput out = core::run_pipeline(model, options);
 
   // 3. Inspect.
@@ -54,4 +58,6 @@ int main(int argc, char** argv) {
   std::printf("\nschedule JSON:\n%s\n",
               out.result.schedule.to_json(out.profiled.graph).dump(true).c_str());
   return 0;
+} catch (const std::exception& e) {
+  return exit_on_error(e);
 }

@@ -2,15 +2,15 @@
 // (§V) from the command line — generate a random DL model with the §V-A
 // parameters and compare all six scheduling algorithms on it.
 //
-//   ./random_dag_explorer --ops 200 --layers 14 --deps 400 --gpus 4 \
-//       --comm_ratio 0.8 --instances 10
+//   ./random_dag_explorer --ops 200 --layers 14 --deps 400 --gpus 4 --comm_ratio 0.8 --instances 10
 #include <cstdio>
+#include <limits>
 
 #include "core/hios.h"
 
 using namespace hios;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   ArgParser args("Random-DAG scheduling explorer (paper §V simulation)");
   args.add_flag("ops", "200", "number of operators")
       .add_flag("layers", "14", "number of operator layers")
@@ -20,24 +20,31 @@ int main(int argc, char** argv) {
       .add_flag("instances", "10", "random instances to average over")
       .add_flag("seed", "1", "base RNG seed")
       .add_flag("gantt", "false", "print an ASCII Gantt of the last HIOS-LP schedule");
-  if (!args.parse(argc, argv)) return 0;
-
   models::RandomDagParams params;
-  params.num_ops = static_cast<int>(args.get_int("ops"));
-  params.num_layers = static_cast<int>(args.get_int("layers"));
-  params.num_deps = static_cast<int>(args.get_int("deps"));
-  params.comm_ratio = args.get_double("comm_ratio");
+  sched::SchedulerConfig config;
+  int instances = 0;
+  uint64_t seed = 0;
+  bool gantt = false;
+  if (!parse_flags_or_exit(args, argc, argv, [&] {
+        params.num_ops = static_cast<int>(args.get_int("ops"));
+        params.num_layers = static_cast<int>(args.get_int("layers"));
+        params.num_deps = static_cast<int>(args.get_int("deps"));
+        params.comm_ratio = args.get_double("comm_ratio");
+        config.num_gpus = static_cast<int>(args.get_int("gpus", 1, kMaxGpusFlag));
+        instances = static_cast<int>(
+            args.get_int("instances", 1, std::numeric_limits<int>::max()));
+        seed = static_cast<uint64_t>(args.get_int("seed"));
+        gantt = args.get_bool("gantt");
+      }))
+    return 0;
 
   const cost::TableCostModel cost;
-  sched::SchedulerConfig config;
-  config.num_gpus = static_cast<int>(args.get_int("gpus"));
-  const int instances = static_cast<int>(args.get_int("instances"));
 
   std::map<std::string, RunningStats> latency, sched_ms;
   sched::Schedule last_lp;
   graph::Graph last_graph;
   for (int i = 0; i < instances; ++i) {
-    params.seed = static_cast<uint64_t>(args.get_int("seed")) + static_cast<uint64_t>(i);
+    params.seed = seed + static_cast<uint64_t>(i);
     const graph::Graph g = models::random_dag(params);
     for (const std::string& alg : sched::scheduler_names()) {
       const auto r = sched::make_scheduler(alg)->schedule(g, cost, config);
@@ -63,10 +70,12 @@ int main(int argc, char** argv) {
   }
   std::fputs(table.to_string().c_str(), stdout);
 
-  if (args.get_bool("gantt")) {
+  if (gantt) {
     const auto tl = sim::simulate_stages(last_graph, last_lp, cost);
     std::printf("\nHIOS-LP schedule of the last instance:\n%s",
                 tl->to_ascii_gantt(100).c_str());
   }
   return 0;
+} catch (const std::exception& e) {
+  return exit_on_error(e);
 }

@@ -3,8 +3,7 @@
 // executes; this tool does the same against the virtual-GPU engine:
 //
 //   # produce a schedule
-//   ./schedule_runner --model squeezenet --algorithm hios-lp \
-//       --save /tmp/sq.json
+//   ./schedule_runner --model squeezenet --algorithm hios-lp --save /tmp/sq.json
 //   # ... later, load + validate + simulate + execute it
 //   ./schedule_runner --model squeezenet --load /tmp/sq.json --execute
 #include <cstdio>
@@ -48,7 +47,7 @@ ops::Model build_model(const std::string& name) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   ArgParser args("Produce / load / execute HIOS schedule JSON files");
   args.add_flag("model", "squeezenet", "inception|squeezenet|resnet|randwire")
       .add_flag("gpus", "2", "number of virtual GPUs")
@@ -59,7 +58,7 @@ int main(int argc, char** argv) {
   int gpus = 0;
   bool execute = false;
   if (!parse_flags_or_exit(args, argc, argv, [&] {
-        gpus = static_cast<int>(args.get_int("gpus"));
+        gpus = static_cast<int>(args.get_int("gpus", 1, kMaxGpusFlag));
         execute = args.get_bool("execute");
       }))
     return 0;
@@ -112,4 +111,6 @@ int main(int argc, char** argv) {
                 schedule.num_gpus, run.latency_ms, run.outputs.size());
   }
   return 0;
+} catch (const std::exception& e) {
+  return exit_on_error(e);
 }

@@ -13,7 +13,10 @@
 
 using namespace hios;
 
-int main() {
+int main(int argc, char** argv) try {
+  ArgParser args("Serving-layer walkthrough: a deterministic trace, then online submissions");
+  if (!parse_flags_or_exit(args, argc, argv, [] {})) return 0;
+
   // 2 vGPUs, 2 stream slots: up to 2 requests execute concurrently, each
   // scheduled by HIOS-LP across both GPUs.
   serve::ServerOptions options;
@@ -64,4 +67,6 @@ int main() {
   }
   std::printf("\n\nmetrics JSON:\n%s\n", server.metrics().to_json().dump(true).c_str());
   return 0;
+} catch (const std::exception& e) {
+  return exit_on_error(e);
 }

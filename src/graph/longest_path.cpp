@@ -1,10 +1,144 @@
 #include "graph/longest_path.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "graph/algorithms.h"
 
 namespace hios::graph {
+
+ValidPathFinder::ValidPathFinder(const Graph& g, std::span<const NodeId> topo_order)
+    : n_(g.num_nodes()) {
+  HIOS_CHECK(topo_order.size() == n_, "topo order size mismatch");
+  const std::size_t m = g.num_edges();
+  weight_.resize(n_);
+  in_head_.assign(n_ + 1, 0);
+  out_head_.assign(n_ + 1, 0);
+  for (NodeId v = 0; v < static_cast<NodeId>(n_); ++v) {
+    weight_[v] = g.node_weight(v);
+    in_head_[v + 1] = in_head_[v] + static_cast<int32_t>(g.in_degree(v));
+    out_head_[v + 1] = out_head_[v] + static_cast<int32_t>(g.out_degree(v));
+  }
+  in_src_.resize(m);
+  in_w_.resize(m);
+  out_dst_.resize(m);
+  out_w_.resize(m);
+  const std::vector<Edge>& edges = g.edges();
+  for (NodeId v = 0; v < static_cast<NodeId>(n_); ++v) {
+    int32_t s = in_head_[v];
+    for (EdgeId e : g.in_edges(v)) {
+      in_src_[s] = edges[e].src;
+      in_w_[s++] = edges[e].weight;
+    }
+    s = out_head_[v];
+    for (EdgeId e : g.out_edges(v)) {
+      out_dst_[s] = edges[e].dst;
+      out_w_[s++] = edges[e].weight;
+    }
+  }
+
+  scheduled_.assign(n_, 0);
+  dirty_.assign(n_, 0);
+  head_bonus_.assign(n_, 0.0);
+  tail_bonus_.assign(n_, 0.0);
+  topo_live_.assign(topo_order.begin(), topo_order.end());
+  id_live_.resize(n_);
+  std::iota(id_live_.begin(), id_live_.end(), NodeId{0});
+  full_.assign(n_, -1.0);
+  ext_.assign(n_, -1.0);
+  parent_.assign(n_, kInvalidNode);
+}
+
+void ValidPathFinder::mark_scheduled(NodeId v) {
+  HIOS_CHECK(v >= 0 && static_cast<std::size_t>(v) < n_, "bad node id " << v);
+  HIOS_ASSERT(!scheduled_[v], "node " << v << " is already scheduled");
+  scheduled_[v] = 1;
+  // Its unscheduled neighbours now touch a scheduled op: dirty, and the
+  // connecting edge is a candidate boundary bonus. max() keeps the first of
+  // equal weights, so the order of marking does not change any bonus.
+  for (int32_t s = in_head_[v]; s < in_head_[v + 1]; ++s) {
+    const NodeId u = in_src_[s];
+    if (scheduled_[u]) continue;
+    dirty_[u] = 1;
+    tail_bonus_[u] = std::max(tail_bonus_[u], in_w_[s]);
+  }
+  for (int32_t s = out_head_[v]; s < out_head_[v + 1]; ++s) {
+    const NodeId x = out_dst_[s];
+    if (scheduled_[x]) continue;
+    dirty_[x] = 1;
+    head_bonus_[x] = std::max(head_bonus_[x], out_w_[s]);
+  }
+}
+
+std::optional<ValidPath> ValidPathFinder::next() {
+  // DP over the unscheduled ops in topological order, dropping the ops
+  // scheduled since the last call from the list on the way:
+  //   start(v) = chain {v} with v as first vertex (head bonus applies),
+  //   full(v)  = best chain ending at v (v may be dirty = last vertex),
+  //   ext(v)   = best chain ending at v that may still be extended:
+  //              equal to full(v) when v is clean, start(v) when dirty
+  //              (a dirty vertex can be extended only as the first vertex).
+  // An unscheduled predecessor precedes v in the list, so its ext() is
+  // always this call's.
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < topo_live_.size(); ++i) {
+    const NodeId v = topo_live_[i];
+    if (scheduled_[v]) continue;
+    topo_live_[kept++] = v;
+    const double start_v = weight_[v] + head_bonus_[v];
+    double best = start_v;
+    NodeId best_parent = kInvalidNode;
+    for (int32_t s = in_head_[v]; s < in_head_[v + 1]; ++s) {
+      const NodeId u = in_src_[s];
+      if (scheduled_[u] || ext_[u] < 0.0) continue;
+      const double cand = ext_[u] + in_w_[s] + weight_[v];
+      if (cand > best || (cand == best && best_parent != kInvalidNode && u < best_parent)) {
+        best = cand;
+        best_parent = u;
+      }
+    }
+    full_[v] = best;
+    parent_[v] = best_parent;
+    ext_[v] = dirty_[v] ? start_v : best;
+  }
+  topo_live_.resize(kept);
+  if (kept == 0) return std::nullopt;
+
+  // Pick the best chain ending (tail bonus applies to the last vertex); the
+  // first maximum in node-id order wins.
+  NodeId best_end = kInvalidNode;
+  double best_len = -1.0;
+  kept = 0;
+  for (std::size_t i = 0; i < id_live_.size(); ++i) {
+    const NodeId v = id_live_[i];
+    if (scheduled_[v]) continue;
+    id_live_[kept++] = v;
+    if (full_[v] < 0.0) continue;
+    const double len = full_[v] + tail_bonus_[v];
+    if (len > best_len) {
+      best_len = len;
+      best_end = v;
+    }
+  }
+  id_live_.resize(kept);
+  HIOS_ASSERT(best_end != kInvalidNode, "no unscheduled vertex found");
+
+  ValidPath path;
+  path.length = best_len;
+  // Reconstruct: walk parents; a dirty predecessor was used via start() and
+  // therefore begins the chain.
+  NodeId cur = best_end;
+  path.nodes.push_back(cur);
+  while (parent_[cur] != kInvalidNode) {
+    const NodeId prev = parent_[cur];
+    path.nodes.push_back(prev);
+    if (dirty_[prev]) break;  // ext(prev) == start(prev): chain starts here
+    cur = prev;
+  }
+  std::reverse(path.nodes.begin(), path.nodes.end());
+  for (NodeId v : path.nodes) mark_scheduled(v);
+  return path;
+}
 
 std::optional<ValidPath> longest_valid_path(const Graph& g, const DynBitset& scheduled) {
   auto order_opt = topological_sort(g);
@@ -14,92 +148,11 @@ std::optional<ValidPath> longest_valid_path(const Graph& g, const DynBitset& sch
 
 std::optional<ValidPath> longest_valid_path(const Graph& g, const DynBitset& scheduled,
                                             const std::vector<NodeId>& topo_order) {
-  const std::size_t n = g.num_nodes();
-  HIOS_CHECK(scheduled.size() == n, "scheduled mask size mismatch");
-  HIOS_CHECK(topo_order.size() == n, "topo order size mismatch");
-  if (scheduled.count() == n) return std::nullopt;
-
-  auto is_scheduled = [&](NodeId v) { return scheduled.test(static_cast<std::size_t>(v)); };
-
-  // dirty(v): v touches a scheduled vertex, so it may only be the first or
-  // last vertex of a chain. Head/tail bonuses are the heaviest boundary edges.
-  std::vector<char> dirty(n, 0);
-  std::vector<double> head_bonus(n, 0.0), tail_bonus(n, 0.0);
-  for (NodeId v = 0; v < static_cast<NodeId>(n); ++v) {
-    if (is_scheduled(v)) continue;
-    for (EdgeId e : g.in_edges(v)) {
-      const Edge& edge = g.edge(e);
-      if (is_scheduled(edge.src)) {
-        dirty[v] = 1;
-        head_bonus[v] = std::max(head_bonus[v], edge.weight);
-      }
-    }
-    for (EdgeId e : g.out_edges(v)) {
-      const Edge& edge = g.edge(e);
-      if (is_scheduled(edge.dst)) {
-        dirty[v] = 1;
-        tail_bonus[v] = std::max(tail_bonus[v], edge.weight);
-      }
-    }
-  }
-
-  // DP over the topological order:
-  //   start(v) = chain {v} with v as first vertex (head bonus applies),
-  //   full(v)  = best chain ending at v (v may be dirty = last vertex),
-  //   ext(v)   = best chain ending at v that may still be extended:
-  //              equal to full(v) when v is clean, start(v) when dirty
-  //              (a dirty vertex can be extended only as the first vertex).
-  constexpr double kNegInf = -1.0;
-  std::vector<double> full(n, kNegInf), ext(n, kNegInf);
-  std::vector<NodeId> parent(n, kInvalidNode);  // predecessor in full(v)'s chain
-
-  for (NodeId v : topo_order) {
-    if (is_scheduled(v)) continue;
-    const double start_v = g.node_weight(v) + head_bonus[v];
-    double best = start_v;
-    NodeId best_parent = kInvalidNode;
-    for (EdgeId e : g.in_edges(v)) {
-      const Edge& edge = g.edge(e);
-      const NodeId u = edge.src;
-      if (is_scheduled(u) || ext[u] < 0.0) continue;
-      const double cand = ext[u] + edge.weight + g.node_weight(v);
-      if (cand > best || (cand == best && best_parent != kInvalidNode && u < best_parent)) {
-        best = cand;
-        best_parent = u;
-      }
-    }
-    full[v] = best;
-    parent[v] = best_parent;
-    ext[v] = dirty[v] ? start_v : best;
-  }
-
-  // Pick the best chain ending (tail bonus applies to the last vertex).
-  NodeId best_end = kInvalidNode;
-  double best_len = kNegInf;
-  for (NodeId v = 0; v < static_cast<NodeId>(n); ++v) {
-    if (is_scheduled(v) || full[v] < 0.0) continue;
-    const double len = full[v] + tail_bonus[v];
-    if (len > best_len) {
-      best_len = len;
-      best_end = v;
-    }
-  }
-  HIOS_ASSERT(best_end != kInvalidNode, "no unscheduled vertex found");
-
-  ValidPath path;
-  path.length = best_len;
-  // Reconstruct: walk parents; a dirty predecessor was used via start() and
-  // therefore begins the chain.
-  NodeId cur = best_end;
-  path.nodes.push_back(cur);
-  while (parent[cur] != kInvalidNode) {
-    const NodeId prev = parent[cur];
-    path.nodes.push_back(prev);
-    if (dirty[prev]) break;  // ext(prev) == start(prev): chain starts here
-    cur = prev;
-  }
-  std::reverse(path.nodes.begin(), path.nodes.end());
-  return path;
+  HIOS_CHECK(scheduled.size() == g.num_nodes(), "scheduled mask size mismatch");
+  ValidPathFinder finder(g, topo_order);
+  for (std::size_t v = 0; v < scheduled.size(); ++v)
+    if (scheduled.test(v)) finder.mark_scheduled(static_cast<NodeId>(v));
+  return finder.next();
 }
 
 }  // namespace hios::graph

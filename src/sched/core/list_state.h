@@ -9,10 +9,14 @@
 // tails and the running latency after every position and, on query,
 // recomputes only the suffix from the earliest dirty rank.
 //
-// The recomputation executes the exact instruction sequence of
-// sched::list_schedule from identical prefix state, so latencies are
-// bit-identical to the from-scratch pass (property-tested in
-// tests/sched_core_test.cpp).
+// The recurrence reads no CostModel: at construction it fills per-rank
+// tables of each in-edge's source, its transfer time per link class (GPU
+// pairs whose transfers cost the same; the same GPU is the class costing
+// 0) and node_time per (op, GPU), straight from the model. The
+// recomputation therefore executes the exact instruction sequence of
+// sched::list_schedule on the values the model returns, from identical
+// prefix state, so latencies are bit-identical to the from-scratch pass
+// (property-tested in tests/sched_core_test.cpp).
 #pragma once
 
 #include <vector>
@@ -24,7 +28,9 @@ namespace hios::sched {
 
 class ListScheduleState {
  public:
-  /// Starts with every node unmapped. `cg` and `cost` must outlive *this.
+  /// Starts with every node unmapped. `cg` must outlive *this; `cost` is
+  /// only read here. Throws when the model's topology covers fewer than
+  /// `num_gpus` GPUs.
   ListScheduleState(const graph::CompiledGraph& cg, int num_gpus,
                     const cost::CostModel& cost);
 
@@ -47,9 +53,17 @@ class ListScheduleState {
   void recompute();
 
   const graph::CompiledGraph& cg_;
-  const cost::CostModel& cost_;
   int num_gpus_;
   std::size_t n_;
+
+  // Cost tables, by priority rank. In-edges of the op at rank i occupy
+  // slots [in_head_[i], in_head_[i + 1]).
+  std::vector<int32_t> in_head_;     ///< n + 1 slot offsets
+  std::vector<graph::NodeId> in_src_;  ///< per slot: the edge's source
+  std::size_t classes_ = 1;          ///< distinct link classes, incl. same GPU
+  std::vector<int> pair_class_;      ///< m x m: class of (src GPU, dst GPU)
+  std::vector<double> xfer_;         ///< slots x classes_ transfer times
+  std::vector<double> node_time_;    ///< n x m: t(v) of the op at each rank
 
   std::vector<int> mapping_;          ///< node -> gpu (-1 unmapped)
   std::vector<double> start_, finish_;

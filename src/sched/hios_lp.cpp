@@ -3,30 +3,22 @@
 #include "graph/longest_path.h"
 #include "sched/core/list_state.h"
 #include "sched/placement.h"
-#include "util/bitset.h"
 
 namespace hios::sched {
 
 Schedule place_longest_path(const graph::CompiledGraph& cg, const cost::CostModel& cost,
                             const SchedulerConfig& config) {
   HIOS_CHECK(config.num_gpus >= 1, "HIOS-LP needs >= 1 GPU");
-  const graph::Graph& g = cg.graph();
-  const std::size_t n = g.num_nodes();
   const int m = config.num_gpus;
 
   // Incremental objective: each path-on-GPU trial only touches the path's
   // nodes, so the list schedule is recomputed from the earliest changed
-  // priority rank instead of from scratch (Alg. 1 lines 7-16).
+  // priority rank instead of from scratch (Alg. 1 lines 7-16). The finder
+  // likewise only revisits the still-unscheduled ops (Alg. 1 line 5).
   ListScheduleState trial(cg, m, cost);
-  DynBitset scheduled(n);
+  graph::ValidPathFinder paths(cg.graph(), cg.topo_order());
 
-  while (scheduled.count() < n) {
-    auto path = graph::longest_valid_path(g, scheduled, cg.topo_order());
-    HIOS_ASSERT(path.has_value(), "unscheduled vertices remain but no path found");
-    for (graph::NodeId v : path->nodes) {
-      HIOS_ASSERT(!scheduled.test(static_cast<std::size_t>(v)), "path revisits node " << v);
-      scheduled.set(static_cast<std::size_t>(v));
-    }
+  while (const auto path = paths.next()) {
     // Try the path on every GPU; keep the one minimising the latency of the
     // list schedule over all mapped operators (ties go to the lowest GPU).
     int best_gpu = 0;

@@ -59,19 +59,32 @@ std::string ArgParser::get(const std::string& name) const {
 int64_t ArgParser::get_int(const std::string& name) const {
   const std::string v = get(name);
   try {
-    return std::stoll(v);
+    std::size_t used = 0;
+    const int64_t parsed = std::stoll(v, &used);
+    if (used == v.size()) return parsed;  // no trailing text, e.g. "2abc"
   } catch (const std::exception&) {
-    throw Error("flag --" + name + " expects an integer, got '" + v + "'");
   }
+  throw Error("flag --" + name + " expects an integer, got '" + v + "'");
+}
+
+int64_t ArgParser::get_int(const std::string& name, int64_t lo, int64_t hi) const {
+  const int64_t v = get_int(name);
+  if (v < lo || v > hi) {
+    throw Error("flag --" + name + " must be in [" + std::to_string(lo) + ", " +
+                std::to_string(hi) + "], got " + std::to_string(v));
+  }
+  return v;
 }
 
 double ArgParser::get_double(const std::string& name) const {
   const std::string v = get(name);
   try {
-    return std::stod(v);
+    std::size_t used = 0;
+    const double parsed = std::stod(v, &used);
+    if (used == v.size()) return parsed;
   } catch (const std::exception&) {
-    throw Error("flag --" + name + " expects a number, got '" + v + "'");
   }
+  throw Error("flag --" + name + " expects a number, got '" + v + "'");
 }
 
 bool ArgParser::get_bool(const std::string& name) const {

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <map>
 #include <string>
 #include <vector>
@@ -31,6 +32,8 @@ class ArgParser {
 
   std::string get(const std::string& name) const;
   int64_t get_int(const std::string& name) const;
+  /// get_int that also throws hios::Error when the value is outside [lo, hi].
+  int64_t get_int(const std::string& name, int64_t lo, int64_t hi) const;
   double get_double(const std::string& name) const;
   bool get_bool(const std::string& name) const;
 
@@ -52,6 +55,10 @@ class ArgParser {
   std::vector<std::string> positional_;
 };
 
+/// Upper bound on the examples' --gpus flags, checked at flag parse so that
+/// no model is profiled and no engine started for an absurd GPU count.
+inline constexpr int64_t kMaxGpusFlag = 64;
+
 /// Parses argv, exiting the process on a malformed flag: the error and the
 /// usage go to stderr and the exit status is 2. `read` pulls the parsed
 /// values out, so a bad value (e.g. --smoke=maybe) takes the same path.
@@ -66,6 +73,15 @@ bool parse_flags_or_exit(ArgParser& args, int argc, char** argv, ReadFn&& read) 
     std::fprintf(stderr, "error: %s\n\n%s", e.what(), args.usage().c_str());
     std::exit(2);
   }
+}
+
+/// The top-level handler of the example mains (`int main(...) try { ... }
+/// catch (const std::exception& e) { return exit_on_error(e); }`): prints
+/// the error that escaped to stderr and returns exit status 2, the status
+/// of a malformed flag.
+inline int exit_on_error(const std::exception& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 2;
 }
 
 }  // namespace hios

@@ -92,7 +92,7 @@ void expect_failover_recovers(const ops::Model& model, int num_gpus,
       fault::FailStop{failed_gpu, victim_starts[victim_starts.size() / 2]});
 
   const FailoverResult run = execute_with_failover(model, pm.graph, planned.schedule,
-                                                   pm.cost, plan, {}, {algorithm});
+                                                   pm.cost, plan, {}, {algorithm, {}, {}});
 
   ASSERT_FALSE(run.primary.complete);  // the fault really struck mid-run
   EXPECT_TRUE(run.metrics.fault_occurred);

@@ -71,10 +71,11 @@ TEST(FaultSimProperty, FaultyRunsExecuteClosedSetsAndPerGpuPrefixes) {
       // An executed op had every input: the executed set is closed under
       // predecessors.
       for (const graph::Edge& e : c.graph.edges()) {
-        if (run.executed[static_cast<std::size_t>(e.dst)])
+        if (run.executed[static_cast<std::size_t>(e.dst)]) {
           EXPECT_TRUE(run.executed[static_cast<std::size_t>(e.src)])
               << "'" << c.graph.node_name(e.dst) << "' ran without '"
               << c.graph.node_name(e.src) << "'";
+        }
       }
       // Each GPU runs whole stages, in order, up to the one it stopped at.
       for (int gpu = 0; gpu < schedule.num_gpus; ++gpu) {

@@ -126,7 +126,9 @@ TEST(ServeChaos, KillAndRecoverMidTraceExactlyOnce) {
   int degraded = 0;
   for (const Response& r : run.report.responses) {
     if (r.verdict == Verdict::kCompleted && r.topo_mask != kFullMask) ++degraded;
-    if (r.attempts > 1) EXPECT_TRUE(r.recovered);
+    if (r.attempts > 1) {
+      EXPECT_TRUE(r.recovered);
+    }
   }
   EXPECT_GT(degraded, 0) << "some requests must have completed on the survivor plan";
 }

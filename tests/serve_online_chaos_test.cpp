@@ -106,8 +106,12 @@ TEST(ServeOnlineChaos, OutageHedgeBreakerDeadlinesConserve) {
     EXPECT_FALSE(f.valid()) << "a future must resolve exactly once";
     EXPECT_TRUE(ids.insert(r.id).second) << "duplicate response id " << r.id;
     ++tally[r.verdict];
-    if (r.verdict == Verdict::kCompleted) EXPECT_FALSE(r.outputs.empty());
-    if (r.verdict == Verdict::kDropped) EXPECT_TRUE(r.outputs.empty());
+    if (r.verdict == Verdict::kCompleted) {
+      EXPECT_FALSE(r.outputs.empty());
+    }
+    if (r.verdict == Verdict::kDropped) {
+      EXPECT_TRUE(r.outputs.empty());
+    }
   }
   EXPECT_EQ(ids.size(), static_cast<std::size_t>(kRequests));
 

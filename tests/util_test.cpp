@@ -294,6 +294,25 @@ TEST(Args, BadIntThrows) {
   EXPECT_THROW(p.get_int("n"), Error);
 }
 
+TEST(Args, TrailingTextThrows) {
+  ArgParser p("test");
+  p.add_flag("n", "1", "count").add_flag("ratio", "0.8", "p");
+  const char* argv[] = {"prog", "--n=2abc", "--ratio", "1.5x"};
+  ASSERT_TRUE(p.parse(4, argv));
+  EXPECT_THROW(p.get_int("n"), Error);
+  EXPECT_THROW(p.get_double("ratio"), Error);
+}
+
+TEST(Args, RangeCheckedInt) {
+  ArgParser p("test");
+  p.add_flag("gpus", "2", "gpus").add_flag("max", "64", "max").add_flag("zero", "0", "z");
+  const char* argv[] = {"prog"};
+  ASSERT_TRUE(p.parse(1, argv));
+  EXPECT_EQ(p.get_int("gpus", 1, kMaxGpusFlag), 2);
+  EXPECT_EQ(p.get_int("max", 1, kMaxGpusFlag), kMaxGpusFlag);
+  EXPECT_THROW(p.get_int("zero", 1, kMaxGpusFlag), Error);
+}
+
 TEST(Args, PositionalCollected) {
   ArgParser p("test");
   const char* argv[] = {"prog", "a", "b"};
