@@ -135,10 +135,10 @@ bool prewarm_cost(bool enforce, Json& doc) {
   const ops::Model model = models::make_nasnet();
 
   const double t0 = now_ms();
-  const std::size_t cold_builds = pool.prewarm(model, serve::kFullMask, 0);
+  const std::size_t cold_builds = pool.prewarm(model, serve::kFullMask);
   const double cold_ms = now_ms() - t0;
   const double t1 = now_ms();
-  const std::size_t rewarm_builds = pool.prewarm(model, serve::kFullMask, 0);
+  const std::size_t rewarm_builds = pool.prewarm(model, serve::kFullMask);
   const double warm_ms = now_ms() - t1;
 
   TextTable table;
@@ -226,7 +226,7 @@ bool degraded_recovery(int num_requests, bool enforce, Json& doc) {
   // Modelled bound: throughput scales with plan latency, so the degraded /
   // steady ratio should track full-plan / survivor-plan latency (lanes and
   // the contention formula are unchanged by the outage).
-  const auto survivor = server.plan_pool().plan_for(model, 0b0111u, 0);
+  const auto survivor = server.plan_pool().plan_for(model, 0b0111u);
   sched::SchedulerConfig cfg = opt.config;
   cfg.num_gpus = opt.platform.num_gpus;
   const auto full = server.cache().get(model, opt.algorithm, cfg);

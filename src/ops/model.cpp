@@ -11,6 +11,7 @@ OpId Model::add_input(const std::string& name, TensorShape shape) {
   shapes_.push_back(shape);
   const OpId id = num_ops() - 1;
   input_ids_.push_back(id);
+  fold_last_op();
   return id;
 }
 
@@ -25,6 +26,7 @@ OpId Model::add_op(Op op, std::vector<OpId> inputs) {
   shapes_.push_back(op.infer_output(in_shapes));
   ops_.push_back(std::move(op));
   inputs_.push_back(std::move(inputs));
+  fold_last_op();
   return num_ops() - 1;
 }
 
@@ -82,45 +84,48 @@ int Model::num_compute_deps() const {
   return count;
 }
 
-uint64_t Model::fingerprint() const {
-  uint64_t h = 1469598103934665603ULL;  // FNV-1a over a canonical encoding
+void Model::fold_last_op() {
+  uint64_t h = fp_;  // a local, so the chain stays in a register
   auto mix = [&h](int64_t v) {
     h ^= static_cast<uint64_t>(v);
     h *= 1099511628211ULL;
   };
-  mix(num_ops());
-  for (OpId id = 0; id < num_ops(); ++id) {
-    const Op& op = ops_[static_cast<std::size_t>(id)];
-    mix(static_cast<int64_t>(op.kind()));
-    switch (op.kind()) {
-      case OpKind::kConv2d:
-      case OpKind::kSepConv2d: {
-        const Conv2dAttr& a = op.conv_attr();
-        for (int64_t v : {a.out_channels, a.kh, a.kw, a.sh, a.sw, a.ph, a.pw, a.groups})
-          mix(v);
-        break;
-      }
-      case OpKind::kPool2d: {
-        const Pool2dAttr& a = op.pool_attr();
-        mix(static_cast<int64_t>(a.mode));
-        for (int64_t v : {a.kh, a.kw, a.sh, a.sw, a.ph, a.pw}) mix(v);
-        break;
-      }
-      case OpKind::kLinear:
-        mix(op.linear_attr().out_features);
-        break;
-      default:
-        break;
+  const Op& op = ops_.back();
+  mix(static_cast<int64_t>(op.kind()));
+  switch (op.kind()) {
+    case OpKind::kConv2d:
+    case OpKind::kSepConv2d: {
+      const Conv2dAttr& a = op.conv_attr();
+      for (int64_t v : {a.out_channels, a.kh, a.kw, a.sh, a.sw, a.ph, a.pw, a.groups}) mix(v);
+      break;
     }
-    const TensorShape& shape = shapes_[static_cast<std::size_t>(id)];
-    mix(shape.n);
-    mix(shape.c);
-    mix(shape.h);
-    mix(shape.w);
-    mix(static_cast<int64_t>(inputs_[static_cast<std::size_t>(id)].size()));
-    for (OpId in : inputs_[static_cast<std::size_t>(id)]) mix(in);
+    case OpKind::kPool2d: {
+      const Pool2dAttr& a = op.pool_attr();
+      mix(static_cast<int64_t>(a.mode));
+      for (int64_t v : {a.kh, a.kw, a.sh, a.sw, a.ph, a.pw}) mix(v);
+      break;
+    }
+    case OpKind::kLinear:
+      mix(op.linear_attr().out_features);
+      break;
+    default:
+      break;
   }
-  return h;
+  const TensorShape& shape = shapes_.back();
+  mix(shape.n);
+  mix(shape.c);
+  mix(shape.h);
+  mix(shape.w);
+  const std::vector<OpId>& inputs = inputs_.back();
+  mix(static_cast<int64_t>(inputs.size()));
+  for (OpId in : inputs) mix(in);
+  fp_ = h;
+}
+
+uint64_t Model::fingerprint() const {
+  // The op count goes last, so a model that extends another's op list
+  // still hashes differently from it.
+  return (fp_ ^ static_cast<uint64_t>(num_ops())) * 1099511628211ULL;
 }
 
 graph::Graph Model::to_graph() const {

@@ -67,19 +67,23 @@ class Model {
   /// Structural fingerprint: a stable 64-bit hash over every operator's
   /// kind, attributes, resolved output shape, and dependency list (the model
   /// name is excluded — two identically-built models hash equal). Used by
-  /// the serving layer's schedule cache as the model part of its key.
+  /// the serving layer's schedule cache as the model part of its key. O(1):
+  /// add_input/add_op fold each op into a running FNV-1a state.
   uint64_t fingerprint() const;
 
  private:
   void check(OpId id) const {
     HIOS_CHECK(id >= 0 && id < num_ops(), "bad op id " << id << " in model " << name_);
   }
+  /// Folds the op just appended into fp_.
+  void fold_last_op();
 
   std::string name_;
   std::vector<Op> ops_;
   std::vector<std::vector<OpId>> inputs_;
   std::vector<TensorShape> shapes_;
   std::vector<OpId> input_ids_;
+  uint64_t fp_ = 1469598103934665603ULL;  ///< FNV-1a state over the ops so far
 };
 
 }  // namespace hios::ops

@@ -33,7 +33,7 @@ Dispatcher::Dispatcher(const ServerOptions& options, HealthTracker& health, Plan
       metrics_(metrics),
       lane_free_(static_cast<std::size_t>(options.slots_per_gpu), 0.0),
       seen_transitions_(health.transitions().size()),
-      warmed_{health.generation(), health.topology_epoch()} {}
+      warmed_(health.generation()) {}
 
 void Dispatcher::add_model(const std::string& name, const ops::Model& model) {
   models_.emplace(name, &model);
@@ -59,20 +59,17 @@ void Dispatcher::advance_health(double t) {
         health_.observe({.kind = up ? FaultEvidence::Kind::kProbeSuccess
                                     : FaultEvidence::Kind::kProbeFailure,
                          .gpu = g,
-                         .at_ms = next_probe,
-                         .detail = {}});
+                         .at_ms = next_probe});
         metrics_.on_probe(up);
       }
     }
     for (; seen_transitions_ < health_.transitions().size(); ++seen_transitions_) {
       metrics_.on_health_transition();
     }
-    const std::pair<uint64_t, uint64_t> now{health_.generation(), health_.topology_epoch()};
-    if (now == warmed_) continue;
-    warmed_ = now;
+    if (health_.generation() == warmed_) continue;
+    warmed_ = health_.generation();
     for (const auto& [name, model] : models_) {
-      metrics_.on_pool_prewarm(
-          pool_.prewarm(*model, health_.up_mask(), health_.topology_epoch()));
+      metrics_.on_pool_prewarm(pool_.prewarm(*model, health_.up_mask()));
     }
   }
 }
@@ -80,9 +77,9 @@ void Dispatcher::advance_health(double t) {
 // The survivor-topology plan for the current health state (full-topology
 // plans bypass the pool, so healthy traffic never moves the pool counters).
 std::shared_ptr<const CachedPlan> Dispatcher::current_plan(const Ticket& t) {
-  if (health_.all_up() && health_.topology_epoch() == 0) return t.plan;
+  if (health_.all_up()) return t.plan;
   CacheOutcome outcome = CacheOutcome::kHit;
-  auto plan = pool_.plan_for(*t.model, health_.up_mask(), health_.topology_epoch(), &outcome);
+  auto plan = pool_.plan_for(*t.model, health_.up_mask(), &outcome);
   metrics_.on_pool_result(outcome);
   return plan;
 }
@@ -204,8 +201,7 @@ Dispatcher::Step Dispatcher::attempt(Ticket& t, int lane, double start) {
     clock(lane) = detected;
     evidence_.emplace(detected, FaultEvidence{.kind = FaultEvidence::Kind::kFailStop,
                                               .gpu = o->gpu,
-                                              .at_ms = detected,
-                                              .detail = "outage window"});
+                                              .at_ms = detected});
     return retry_or_fail(t, plan->latency_ms, detected, "retries exhausted: gpu outage");
   }
 
@@ -224,7 +220,7 @@ Dispatcher::Step Dispatcher::attempt(Ticket& t, int lane, double start) {
   // lane has drained enough that its (later) start pays a smaller
   // contention scale.
   if (options_.hedge_multiplier > 0.0 && num_lanes() > 1 &&
-      static_cast<int>(duration_samples_.size()) >= options_.hedge_min_samples &&
+      duration_samples_.size() >= kHedgeMinSamples &&
       duration > options_.hedge_multiplier * percentile_sorted(duration_samples_, 0.99)) {
     const int lane2 = free_lane(lane);
     const double start2 = std::max(clock(lane2), start);

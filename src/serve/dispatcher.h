@@ -103,7 +103,7 @@ class Dispatcher {
   std::vector<double> duration_samples_;           ///< committed dispatch durations, ascending
   std::map<std::string, const ops::Model*> models_;
   std::size_t seen_transitions_;
-  std::pair<uint64_t, uint64_t> warmed_;  ///< (generation, epoch) last prewarmed
+  uint64_t warmed_;  ///< health generation last prewarmed
 };
 
 }  // namespace hios::serve

@@ -1,46 +1,38 @@
-// GPU / link health tracking for degraded-mode serving (DESIGN.md §6f).
+// GPU health tracking for degraded-mode serving (DESIGN.md §6f).
 //
-// PR 1's failover is strictly per-request: every request that trips over a
-// dead GPU re-discovers it, pays a fresh residual reschedule, and the next
-// request does it all again. A serving system must own fault state *once*:
+// runtime::execute_with_failover is strictly per-request: every request that
+// trips over a dead GPU re-discovers it, pays a fresh residual reschedule,
+// and the next request does it all again. A serving system must own fault state *once*:
 // the first failure marks the GPU down for everyone, later requests are
 // planned around it, and a probing loop brings it back when it recovers.
 //
-// HealthTracker is that shared state machine. It consumes structured fault
-// evidence from the engine/failover path — watchdog fires, FaultPlan
-// fail-stop observations, link down-windows, transfer-retry exhaustion —
-// and maintains a per-GPU and per-link state machine:
+// HealthTracker is that shared state machine. serve::Dispatcher feeds it
+// the only evidence serving produces — a request's fail-stop observation
+// when an outage window kills a GPU it ran on, and the outcome of each
+// probe — and it keeps one state per GPU:
 //
-//        (soft strike)        (strikes >= threshold, or hard evidence)
-//   Healthy ----------> Suspect ----------> Down
-//      ^                                     | (probe backoff elapses)
-//      | (probe succeeds)                    v
-//      +------------------------------- Probing
-//                     (probe fails: Down again, backoff doubles)
+//            (fail-stop)                (probe backoff elapses)
+//   Healthy -------------> Down ---------------------------------> Probing
+//      ^                     ^                                         |
+//      |                     +--- (probe fails: backoff doubles) ------+
+//      +----------------------------- (probe succeeds) ----------------+
 //
-// Hard evidence (a fail-stop observation) jumps straight to Down; soft
-// evidence (watchdog fires, retry exhaustion) accumulates strikes through
-// Suspect first. Down and Probing GPUs are excluded from `up_mask()`; a
-// GPU only re-enters the serving set when a probe succeeds.
+// Down and Probing GPUs are excluded from `up_mask()`; a GPU only re-enters
+// the serving set when a probe succeeds.
 //
 // Probe scheduling is *seeded-deterministic*: backoff grows exponentially
 // with a jitter factor drawn from a per-GPU hios::Rng stream, so two runs
-// with the same seed probe at bit-identical virtual times (the determinism
-// contract, DESIGN.md §6e) while distinct GPUs still decorrelate.
+// probe at bit-identical virtual times (the determinism contract, DESIGN.md
+// §6e) while distinct GPUs still decorrelate.
 //
-// Two version counters feed the plan-pool invalidation rules (§6f):
-//   * generation()      bumps whenever up_mask() changes (GPU membership);
-//   * topology_epoch()  bumps on link-state transitions only. Plans are
-//     keyed on (mask, epoch): a GPU failure changes the mask, a link
-//     failure changes the epoch — either way a plan cached before the
-//     failure can never be served after it.
+// generation() bumps whenever up_mask() changes. Plans depend on the
+// survivor mask alone (the interconnect is fixed, the paper's §III-B), so
+// the mask is the whole plan-pool key and the generation only tells the
+// Dispatcher when to prewarm.
 #pragma once
 
 #include <cstdint>
 #include <limits>
-#include <map>
-#include <string>
-#include <utility>
 #include <vector>
 
 #include "util/json.h"
@@ -48,25 +40,23 @@
 
 namespace hios::serve {
 
-/// Health of one GPU or link. See the state diagram above.
-enum class HealthState { kHealthy, kSuspect, kDown, kProbing };
+/// Health of one GPU. See the state diagram above.
+enum class HealthState { kHealthy, kDown, kProbing };
 
 const char* health_state_name(HealthState state);
 
+/// Each failed probe multiplies the backoff by this, up to
+/// HealthOptions::probe_max_backoff_ms.
+inline constexpr double kProbeBackoffMultiplier = 2.0;
+/// Deterministic jitter: each probe delay is scaled by a factor drawn
+/// uniformly from [1 - kProbeJitter, 1 + kProbeJitter) out of a per-GPU Rng.
+inline constexpr double kProbeJitter = 0.25;
+
 /// Knobs of the health state machine. All times are virtual milliseconds.
 struct HealthOptions {
-  /// Soft-evidence strikes (watchdog, retry exhaustion) before Suspect
-  /// escalates to Down. Hard evidence (fail-stop) ignores this.
-  int suspect_strikes = 2;
   /// Backoff before the first probe of a freshly Down GPU.
   double probe_backoff_ms = 2.0;
-  /// Backoff growth per failed probe, capped at probe_max_backoff_ms.
-  double probe_backoff_multiplier = 2.0;
   double probe_max_backoff_ms = 16.0;
-  /// Deterministic jitter: each probe delay is scaled by a factor drawn
-  /// uniformly from [1 - jitter, 1 + jitter) out of a per-GPU seeded Rng.
-  double probe_jitter = 0.25;
-  uint64_t seed = 0;
 
   /// Throws hios::Error naming the offending field on invalid values.
   void validate() const;
@@ -75,21 +65,14 @@ struct HealthOptions {
 /// One piece of structured fault evidence fed to the tracker.
 struct FaultEvidence {
   enum class Kind {
-    kFailStop,        ///< hard: a fail-stop observation (GPU is gone)
-    kWatchdog,        ///< soft: an engine watchdog fired on this GPU
-    kLinkDown,        ///< hard: a link down-window was observed
-    kRetryExhausted,  ///< soft: a transfer retry budget ran out on a link
-    kProbeSuccess,    ///< probe outcome: the GPU/link answered
-    kProbeFailure,    ///< probe outcome: still dead
+    kFailStop,      ///< a fail-stop observation (GPU is gone)
+    kProbeSuccess,  ///< probe outcome: the GPU answered
+    kProbeFailure,  ///< probe outcome: still dead
   };
   Kind kind = Kind::kFailStop;
-  int gpu = -1;       ///< subject GPU (links: one endpoint)
-  int peer_gpu = -1;  ///< links: the other endpoint; -1 for GPU evidence
-  double at_ms = 0.0; ///< virtual time the evidence was observed
-  std::string detail;
+  int gpu = -1;        ///< subject GPU
+  double at_ms = 0.0;  ///< virtual time the evidence was observed
 };
-
-const char* evidence_kind_name(FaultEvidence::Kind kind);
 
 /// A server-virtual-time window during which one GPU is dead. This is the
 /// serving-level chaos script (the per-request fault::FaultPlan replays in
@@ -101,9 +84,9 @@ struct GpuOutage {
   double to_ms = std::numeric_limits<double>::infinity();  ///< inf = never recovers
 };
 
-/// Shared per-GPU / per-link health state machine. Not internally locked:
-/// only serve::Dispatcher mutates it, single-threaded in a trace and under
-/// the online lanes' dispatch mutex.
+/// Shared per-GPU health state machine. Not internally locked: only
+/// serve::Dispatcher mutates it, single-threaded in a trace and under the
+/// online lanes' dispatch mutex.
 class HealthTracker {
  public:
   explicit HealthTracker(int num_gpus, HealthOptions options = {});
@@ -122,23 +105,19 @@ class HealthTracker {
   double next_probe_ms(int gpu) const;
 
   HealthState gpu_state(int gpu) const;
-  HealthState link_state(int a, int b) const;
 
   int num_gpus() const { return static_cast<int>(gpus_.size()); }
-  /// Bit g set iff GPU g may serve traffic (Healthy or Suspect).
+  /// Bit g set iff GPU g is Healthy.
   uint32_t up_mask() const { return up_mask_; }
   /// True when every GPU may serve traffic.
   bool all_up() const;
 
   /// Bumps whenever up_mask() changes.
   uint64_t generation() const { return generation_; }
-  /// Bumps on link-state transitions only (plan-pool key component).
-  uint64_t topology_epoch() const { return epoch_; }
 
   /// Every state transition the tracker performed, in observation order.
   struct Transition {
     int gpu = -1;
-    int peer_gpu = -1;  ///< -1: GPU transition; >= 0: link transition
     HealthState from = HealthState::kHealthy;
     HealthState to = HealthState::kHealthy;
     double at_ms = 0.0;
@@ -146,39 +125,27 @@ class HealthTracker {
   };
   const std::vector<Transition>& transitions() const { return transitions_; }
 
-  std::size_t probes_sent() const { return probes_sent_; }
-  std::size_t probes_succeeded() const { return probes_succeeded_; }
-
-  /// Deterministic dump: per-GPU states, mask, generation, epoch,
-  /// transition count (virtual-time quantities only).
+  /// Deterministic dump: per-GPU states, mask, generation, transition count
+  /// (virtual-time quantities only).
   Json to_json() const;
 
  private:
   struct Node {
     HealthState state = HealthState::kHealthy;
-    int strikes = 0;
     double next_probe_ms = std::numeric_limits<double>::infinity();
     double backoff_ms = 0.0;  ///< current (pre-jitter) probe backoff
   };
 
-  void transition(Node& node, int gpu, int peer, HealthState to, double at_ms,
-                  FaultEvidence::Kind cause);
-  void mark_gpu_down(int gpu, double at_ms, FaultEvidence::Kind cause);
+  void transition(int gpu, HealthState to, double at_ms, FaultEvidence::Kind cause);
   void schedule_probe(int gpu, double at_ms);
-  double jittered(double backoff_ms, int gpu);
   void refresh_mask();
-  Node& link_node(int a, int b);
 
   HealthOptions options_;
   std::vector<Node> gpus_;
   std::vector<Rng> probe_rngs_;  ///< per-GPU deterministic jitter streams
-  std::map<std::pair<int, int>, Node> links_;  ///< keyed (min, max)
   uint32_t up_mask_ = 0;
   uint64_t generation_ = 0;
-  uint64_t epoch_ = 0;
   std::vector<Transition> transitions_;
-  std::size_t probes_sent_ = 0;
-  std::size_t probes_succeeded_ = 0;
 };
 
 }  // namespace hios::serve

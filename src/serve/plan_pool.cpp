@@ -3,19 +3,20 @@
 #include <algorithm>
 #include <vector>
 
+#include "util/error.h"
 #include "util/thread_pool.h"
 
 namespace hios::serve {
 
 std::shared_ptr<const CachedPlan> PlanPool::plan_for(const ops::Model& model,
                                                      uint32_t mask,
-                                                     uint64_t generation,
                                                      CacheOutcome* outcome) {
-  return cache_.get(model, algorithm_, config_, TopologyVersion{mask, generation}, outcome);
+  return cache_.get(model, algorithm_, config_, TopologyVersion{mask}, outcome);
 }
 
-std::size_t PlanPool::prewarm(const ops::Model& model, uint32_t mask,
-                              uint64_t generation) {
+std::size_t PlanPool::prewarm(const ops::Model& model, uint32_t mask, uint64_t must_be_zero) {
+  HIOS_CHECK(must_be_zero == 0,
+             "PlanPool::prewarm: third argument must be 0 (got " << must_be_zero << ")");
   const int width = config_.num_gpus;
   const uint32_t width_mask =
       width >= 32 ? 0xFFFFFFFFu : (1u << static_cast<unsigned>(width)) - 1u;
@@ -32,7 +33,7 @@ std::size_t PlanPool::prewarm(const ops::Model& model, uint32_t mask,
   }
   // After most health transitions every mask is already warm: then no
   // parallel section is opened at all.
-  masks = cache_.cold_masks(model, algorithm_, config_, masks, generation);
+  masks = cache_.cold_masks(model, algorithm_, config_, masks);
   if (masks.empty()) return 0;
 
   // The masks are distinct cache keys, so their cold builds are
@@ -42,7 +43,7 @@ std::size_t PlanPool::prewarm(const ops::Model& model, uint32_t mask,
   std::vector<char> cold(masks.size(), 0);
   util::global_pool().parallel_for(masks.size(), [&](std::size_t i) {
     CacheOutcome outcome = CacheOutcome::kHit;
-    cache_.get(model, algorithm_, config_, TopologyVersion{masks[i], generation}, &outcome);
+    cache_.get(model, algorithm_, config_, TopologyVersion{masks[i]}, &outcome);
     cold[i] = outcome == CacheOutcome::kMiss;
   });
   return static_cast<std::size_t>(std::ranges::count(cold, 1));

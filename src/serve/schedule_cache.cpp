@@ -39,19 +39,18 @@ ScheduleCache::Key ScheduleCache::make_key(uint64_t model_fp, const std::string&
   // Normalise: the full survivor set always keys as kFullMask, so the
   // default TopologyVersion and an explicit all-up mask share one entry.
   if (mask == width_mask) mask = kFullMask;
-  return Key{model_fp, config, mask, topo.generation, algorithm};
+  return Key{model_fp, config, mask, algorithm};
 }
 
 std::vector<uint32_t> ScheduleCache::cold_masks(const ops::Model& model,
                                                 const std::string& algorithm,
                                                 const sched::SchedulerConfig& config,
-                                                std::span<const uint32_t> masks,
-                                                uint64_t generation) const {
+                                                std::span<const uint32_t> masks) const {
   const uint64_t fp = model.fingerprint();
   std::vector<uint32_t> cold;
   std::lock_guard<std::mutex> lock(mu_);
   for (uint32_t mask : masks) {
-    const auto it = map_.find(make_key(fp, algorithm, config, {mask, generation}));
+    const auto it = map_.find(make_key(fp, algorithm, config, {mask}));
     if (it == map_.end() || it->second.plan == nullptr) cold.push_back(mask);
   }
   return cold;

@@ -3,23 +3,22 @@
 // Scheduling a model is the expensive part of serving it cold: profiling
 // plus a HIOS-LP pass costs ~14 ms on a 512-op DAG (DESIGN.md §6d) — far
 // more than admitting a request. Schedules depend only on (model structure,
-// algorithm, the whole SchedulerConfig) under a fixed platform *topology*,
-// so the cache keys on exactly that tuple (model structure via
-// ops::Model::fingerprint) plus a TopologyVersion, and a warm request costs
-// one hash lookup. Entries are immutable shared_ptrs: a cached plan can be
-// executed concurrently by every stream slot while new models are being
-// profiled.
+// algorithm, the whole SchedulerConfig) and on which of the platform's GPUs
+// they may use, so the cache keys on exactly that tuple (model structure via
+// ops::Model::fingerprint, the GPUs via a TopologyVersion's survivor mask),
+// and a warm request costs one hash lookup. Entries are immutable
+// shared_ptrs: a cached plan can be executed concurrently by every stream
+// slot while new models are being profiled.
 //
-// Topology versioning (DESIGN.md §6f): without it the cache has a latent
-// staleness bug the moment health state exists — a plan scheduled across 4
-// GPUs before a failure would keep being served after GPU 3 died. The key
-// therefore carries (a) the survivor *mask*, which names exactly which
-// platform GPUs the plan may place work on, and (b) a link-state
-// *generation* (HealthTracker::topology_epoch()), which versions the
-// interconnect: a plan computed before a link went down (or came back) can
-// never be served after. GPU membership is keyed by the mask itself — not
-// the generation — so plans prewarmed for a single-GPU-down mask still hit
-// warm after that GPU actually fails.
+// Survivor masks (DESIGN.md §6f): a plan scheduled across 4 GPUs before a
+// failure must not be served after GPU 3 died, so the key carries the
+// survivor *mask*, which names exactly which platform GPUs the plan may
+// place work on. A plan is built from the platform restricted to that mask
+// and nothing else — the interconnect between survivors is the platform's
+// own, fixed for the cache's lifetime — so the mask is the whole topology
+// part of the key. Keying on the mask itself (not on a health counter)
+// means plans prewarmed for a single-GPU-down mask still hit warm after that
+// GPU actually fails.
 //
 // Invalidation (DESIGN.md §6e): a cache instance is bound to one Platform
 // at construction; registering a different platform means a different
@@ -55,9 +54,6 @@ namespace hios::serve {
 struct TopologyVersion {
   /// Bit g set iff platform GPU g may carry work. kFullMask = all up.
   uint32_t mask = kFullMask;
-  /// Link-state generation (bumps on link down/up transitions). Plans are
-  /// never shared across generations.
-  uint64_t generation = 0;
 };
 
 /// One immutable cached scheduling result.
@@ -88,9 +84,9 @@ class ScheduleCache {
 
   /// Returns the plan for (model.fingerprint(), algorithm, config) on the
   /// survivor subset of the platform named by `topo.mask` (restricted GPU
-  /// count and interconnect), keyed additionally on `topo.generation`; the
-  /// default TopologyVersion is the full topology. config.num_gpus still
-  /// names the *full* platform width; the mask picks survivors out of it.
+  /// count and interconnect); the default TopologyVersion is the full
+  /// topology. config.num_gpus still names the *full* platform width; the
+  /// mask picks survivors out of it.
   /// Misses build outside the lock with single-flight coalescing (see the
   /// file comment). `outcome`, when non-null, reports how the lookup was
   /// satisfied (hit / miss / coalesced).
@@ -100,13 +96,12 @@ class ScheduleCache {
                                         TopologyVersion topo = {},
                                         CacheOutcome* outcome = nullptr);
 
-  /// The entries of `masks` whose plan (same arguments as get(), under link
-  /// generation `generation`) is not built yet, in order; a key still being
-  /// built counts as cold. One fingerprint and one lock for all of them,
-  /// and no counter moves.
+  /// The entries of `masks` whose plan (same arguments as get()) is not
+  /// built yet, in order; a key still being built counts as cold. One
+  /// fingerprint and one lock for all of them, and no counter moves.
   std::vector<uint32_t> cold_masks(const ops::Model& model, const std::string& algorithm,
                                    const sched::SchedulerConfig& config,
-                                   std::span<const uint32_t> masks, uint64_t generation) const;
+                                   std::span<const uint32_t> masks) const;
 
   std::size_t hits() const;
   std::size_t misses() const;
@@ -121,7 +116,6 @@ class ScheduleCache {
     uint64_t model_fp = 0;
     sched::SchedulerConfig config;
     uint32_t topo_mask = kFullMask;
-    uint64_t topo_generation = 0;
     std::string algorithm;
     bool operator==(const Key&) const = default;
   };
@@ -133,7 +127,6 @@ class ScheduleCache {
                         c.ios_frontier_cap, c.ios_beam_width})
         h = h * 1099511628211ULL ^ static_cast<std::size_t>(field);
       h = h * 1099511628211ULL ^ static_cast<std::size_t>(k.topo_mask);
-      h = h * 1099511628211ULL ^ static_cast<std::size_t>(k.topo_generation);
       h = h * 1099511628211ULL ^ std::hash<std::string>{}(k.algorithm);
       return h;
     }

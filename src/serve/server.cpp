@@ -9,7 +9,6 @@
 #include "runtime/failover.h"
 #include "serve/dispatcher.h"
 #include "util/error.h"
-#include "util/thread_pool.h"
 
 namespace hios::serve {
 
@@ -26,17 +25,13 @@ void ServerOptions::validate() const {
   HIOS_CHECK(platform.num_gpus >= 1 && platform.num_gpus <= 32,
              "ServerOptions: platform.num_gpus must be in [1, 32] (got "
                  << platform.num_gpus << ")");
-  HIOS_CHECK(slots_per_gpu >= 1 && slots_per_gpu <= util::ThreadPool::kMaxThreads,
-             "ServerOptions: slots_per_gpu must be in [1, " << util::ThreadPool::kMaxThreads
-                                                            << "] (got " << slots_per_gpu
-                                                            << ")");
+  HIOS_CHECK(slots_per_gpu >= 1 && slots_per_gpu <= kMaxSlotsPerGpu,
+             "ServerOptions: slots_per_gpu must be in [1, " << kMaxSlotsPerGpu << "] (got "
+                                                            << slots_per_gpu << ")");
   HIOS_CHECK(queue_capacity >= 1, "ServerOptions: queue_capacity must be >= 1");
   HIOS_CHECK(!algorithm.empty(), "ServerOptions: algorithm must not be empty");
   HIOS_CHECK(retry_backoff_ms >= 0.0, "ServerOptions: retry_backoff_ms must be >= 0 (got "
                                           << retry_backoff_ms << ")");
-  HIOS_CHECK(hedge_min_samples >= 1,
-             "ServerOptions: hedge_min_samples must be >= 1 (got " << hedge_min_samples
-                                                                   << ")");
   health.validate();
   for (std::size_t i = 0; i < outages.size(); ++i) {
     const GpuOutage& o = outages[i];

@@ -14,7 +14,7 @@
 //     stream_contention_scale(k, demand, kappa) times slower: the cost
 //     model's malleable-task contention formula (Fig. 1).
 //   * Schedule cache + plan pool: (model fingerprint, nGPU, algorithm,
-//     window, topology) -> plan, so repeat requests skip profiling and
+//     window, survivor mask) -> plan, so repeat requests skip profiling and
 //     scheduling, including survivor plans prewarmed on health transitions.
 //   * Health (DESIGN.md §6f): GPU outages are shared across requests; later
 //     requests plan on the survivors, probes bring the GPU back, victims
@@ -62,13 +62,18 @@ inline constexpr double kRequestDemand = 0.2;
 inline constexpr int kMaxRetries = 2;
 /// Each retry after the first multiplies the backoff by this.
 inline constexpr double kRetryBackoffMultiplier = 2.0;
+/// Committed dispatches a hedge decision needs before it trusts their p99.
+inline constexpr std::size_t kHedgeMinSamples = 16;
+/// Upper bound of ServerOptions::slots_per_gpu: start() spawns one lane
+/// thread per slot.
+inline constexpr int kMaxSlotsPerGpu = 256;
 
 /// Serving configuration.
 struct ServerOptions {
   /// Machine model; num_gpus here is the serving GPU count.
   cost::Platform platform = cost::make_a40_server(2);
   /// Stream slots per GPU: K requests execute concurrently on the vGPU set.
-  /// At most util::ThreadPool::kMaxThreads: start() spawns one lane per slot.
+  /// At most kMaxSlotsPerGpu.
   int slots_per_gpu = 2;
   /// Admission queue bound; a full queue rejects new requests.
   std::size_t queue_capacity = 64;
@@ -99,9 +104,8 @@ struct ServerOptions {
   double retry_backoff_ms = 1.0;
   /// Hedge trigger: issue a backup dispatch when a request's projected
   /// execution time exceeds hedge_multiplier * p99 of prior dispatches
-  /// (<= 0 disables hedging; needs >= hedge_min_samples history).
+  /// (<= 0 disables hedging; needs >= kHedgeMinSamples history).
   double hedge_multiplier = 0.0;
-  int hedge_min_samples = 16;
   /// Shed deadline requests at admission when even an unqueued survivor
   /// plan cannot meet the deadline (degraded topology only).
   bool breaker = true;

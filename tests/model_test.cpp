@@ -76,6 +76,26 @@ TEST(Model, FlopsAndBytesDelegation) {
   EXPECT_EQ(m.param_count(3), 0);  // concat
 }
 
+// The fingerprint is a running hash, so a copy taken mid-build carries it:
+// extending the copy must land on the hash of the straight-through build, and
+// a rejected op must leave it untouched.
+TEST(Model, FingerprintOfCopyExtendedMidBuildMatchesStraightBuild) {
+  Model partial("partial");
+  const OpId in = partial.add_input("x", TensorShape{1, 3, 8, 8});
+  const OpId c1 =
+      partial.add_op(Op(OpKind::kConv2d, "c1", Conv2dAttr{4, 3, 3, 1, 1, 1, 1, 1}), {in});
+  Model extended = partial;
+  EXPECT_EQ(extended.fingerprint(), partial.fingerprint());
+  const OpId c2 =
+      extended.add_op(Op(OpKind::kConv2d, "c2", Conv2dAttr{4, 3, 3, 1, 1, 1, 1, 1}), {in});
+  EXPECT_NE(extended.fingerprint(), partial.fingerprint());
+  const uint64_t before = extended.fingerprint();
+  EXPECT_THROW(extended.add_op(Op(OpKind::kConcat, "bad"), {c1, 99}), Error);
+  EXPECT_EQ(extended.fingerprint(), before);
+  extended.add_op(Op(OpKind::kConcat, "cat"), {c1, c2});
+  EXPECT_EQ(extended.fingerprint(), tiny().fingerprint());
+}
+
 TEST(Model, BadIdThrows) {
   Model m = tiny();
   EXPECT_THROW(m.op(-1), Error);

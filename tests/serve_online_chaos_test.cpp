@@ -39,7 +39,6 @@ TEST(ServeOnlineChaos, OutageHedgeBreakerDeadlinesConserve) {
   opt.slots_per_gpu = 6;  // enough lanes for contention to vary and trip hedges
   opt.queue_capacity = 64;
   opt.hedge_multiplier = 1.0;
-  opt.hedge_min_samples = 4;
 
   TraceParams params;
   params.models = {"branchy"};

@@ -155,12 +155,12 @@ TEST(ScheduleCache, TopologyMaskKeysSurvivorPlans) {
   EXPECT_EQ(full->gpus, (std::vector<int>{0, 1, 2, 3}));
 
   // A survivor mask builds (and caches) a distinct plan on fewer GPUs.
-  auto degraded = cache.get(m, "hios-lp", config, TopologyVersion{0b0111u, 0}, &outcome);
+  auto degraded = cache.get(m, "hios-lp", config, TopologyVersion{0b0111u}, &outcome);
   EXPECT_EQ(outcome, CacheOutcome::kMiss);
   EXPECT_EQ(degraded->topo_mask, 0b0111u);
   EXPECT_EQ(degraded->gpus, (std::vector<int>{0, 1, 2}));
   EXPECT_NE(degraded.get(), full.get());
-  cache.get(m, "hios-lp", config, TopologyVersion{0b0111u, 0}, &outcome);
+  cache.get(m, "hios-lp", config, TopologyVersion{0b0111u}, &outcome);
   EXPECT_EQ(outcome, CacheOutcome::kHit);
 
   // The default TopologyVersion is exactly the full-mask entry, and an
@@ -168,15 +168,10 @@ TEST(ScheduleCache, TopologyMaskKeysSurvivorPlans) {
   auto again = cache.get(m, "hios-lp", config, {}, &outcome);
   EXPECT_EQ(outcome, CacheOutcome::kHit);
   EXPECT_EQ(again.get(), full.get());
-  cache.get(m, "hios-lp", config, TopologyVersion{0b1111u, 0}, &outcome);
+  cache.get(m, "hios-lp", config, TopologyVersion{0b1111u}, &outcome);
   EXPECT_EQ(outcome, CacheOutcome::kHit);
 
-  // A link-topology generation bump opens a fresh plan space (satellite b:
-  // no stale survivor plan can be served across a topology change).
-  cache.get(m, "hios-lp", config, TopologyVersion{0b0111u, 1}, &outcome);
-  EXPECT_EQ(outcome, CacheOutcome::kMiss);
-
-  EXPECT_THROW(cache.get(m, "hios-lp", config, TopologyVersion{0u, 0}), Error);
+  EXPECT_THROW(cache.get(m, "hios-lp", config, TopologyVersion{0u}), Error);
 }
 
 TEST(PlanPool, PrewarmMakesDegradedLookupsWarm) {
@@ -187,23 +182,23 @@ TEST(PlanPool, PrewarmMakesDegradedLookupsWarm) {
   const ops::Model m = tiny_model();
 
   // Prewarm builds the full plan + every single-GPU-down survivor set.
-  EXPECT_EQ(pool.prewarm(m, kFullMask, 0), 5u);
+  EXPECT_EQ(pool.prewarm(m, kFullMask), 5u);
   EXPECT_EQ(cache.misses(), 5u);
 
   CacheOutcome outcome = CacheOutcome::kMiss;
-  auto plan = pool.plan_for(m, 0b1011u, 0, &outcome);  // GPU 2 down
+  auto plan = pool.plan_for(m, 0b1011u, &outcome);  // GPU 2 down
   EXPECT_EQ(outcome, CacheOutcome::kHit);
   EXPECT_EQ(plan->gpus, (std::vector<int>{0, 1, 3}));
 
   // A mask prewarm did not cover (two GPUs down) is cold exactly once.
-  pool.plan_for(m, 0b0011u, 0, &outcome);
+  pool.plan_for(m, 0b0011u, &outcome);
   EXPECT_EQ(outcome, CacheOutcome::kMiss);
-  pool.plan_for(m, 0b0011u, 0, &outcome);
+  pool.plan_for(m, 0b0011u, &outcome);
   EXPECT_EQ(outcome, CacheOutcome::kHit);
   EXPECT_EQ(cache.misses(), 6u);
 
   // Re-prewarming an already-warm pool performs no builds.
-  EXPECT_EQ(pool.prewarm(m, kFullMask, 0), 0u);
+  EXPECT_EQ(pool.prewarm(m, kFullMask), 0u);
   EXPECT_EQ(cache.misses(), 6u);
 }
 
@@ -217,20 +212,20 @@ TEST(PlanPool, WarmPrewarmMovesNoCacheCounter) {
   const ops::Model m = tiny_model();
 
   const uint32_t masks[] = {kFullMask, 0b011u, 0b101u, 0b110u};
-  EXPECT_EQ(cache.cold_masks(m, "hios-mr", config, masks, 0).size(), 4u);
-  cache.get(m, "hios-mr", config, TopologyVersion{0b011u, 0});
-  EXPECT_EQ(cache.cold_masks(m, "hios-mr", config, masks, 0),
+  EXPECT_EQ(cache.cold_masks(m, "hios-mr", config, masks).size(), 4u);
+  cache.get(m, "hios-mr", config, TopologyVersion{0b011u});
+  EXPECT_EQ(cache.cold_masks(m, "hios-mr", config, masks),
             (std::vector<uint32_t>{kFullMask, 0b101u, 0b110u}));
-  EXPECT_EQ(cache.cold_masks(m, "hios-mr", config, masks, 1).size(), 4u);  // new generation
   EXPECT_EQ(cache.hits(), 0u);
   EXPECT_EQ(cache.misses(), 1u);
 
-  EXPECT_EQ(pool.prewarm(m, 0b111u, 0), 3u);
+  EXPECT_EQ(pool.prewarm(m, 0b111u), 3u);
   const std::size_t hits = cache.hits(), misses = cache.misses();
   EXPECT_EQ(misses, 4u);
-  EXPECT_EQ(pool.prewarm(m, 0b111u, 0), 0u);
-  EXPECT_EQ(pool.prewarm(m, kFullMask, 0), 0u);
+  EXPECT_EQ(pool.prewarm(m, 0b111u), 0u);
+  EXPECT_EQ(pool.prewarm(m, kFullMask), 0u);
   EXPECT_EQ(cache.hits(), hits);
+  EXPECT_THROW(pool.prewarm(m, kFullMask, 1), Error) << "the third argument must be 0";
   EXPECT_EQ(cache.misses(), misses);
   EXPECT_EQ(cache.coalesced(), 0u);
 }
@@ -247,11 +242,14 @@ TEST(ServerOptions, ValidateRejectsBadFields) {
   };
   expect_invalid([](ServerOptions& o) { o.slots_per_gpu = 0; });
   expect_invalid([](ServerOptions& o) { o.slots_per_gpu = 1 << 20; });
+  expect_invalid([](ServerOptions& o) { o.slots_per_gpu = 257; });
+  ServerOptions widest = opt;
+  widest.slots_per_gpu = 256;
+  EXPECT_NO_THROW(widest.validate());
   expect_invalid([](ServerOptions& o) { o.queue_capacity = 0; });
   expect_invalid([](ServerOptions& o) { o.platform.name.clear(); });
   expect_invalid([](ServerOptions& o) { o.algorithm.clear(); });
   expect_invalid([](ServerOptions& o) { o.retry_backoff_ms = -1.0; });
-  expect_invalid([](ServerOptions& o) { o.hedge_min_samples = 0; });
   expect_invalid([](ServerOptions& o) { o.health.probe_backoff_ms = 0.0; });
 }
 
