@@ -17,8 +17,7 @@
 //      throughput, and no request may pay a cold reschedule (plan-pool
 //      misses == 0).
 // Flags: --smoke (fewer requests), --assert (exit 1 when a gate fails),
-//        --json P (write the phase/throughput report as JSON to P),
-//        --threads N (pool lanes for the prewarm builds; 0 = default).
+//        --json P (write the phase/throughput report as JSON to P).
 #include <chrono>
 #include <fstream>
 
@@ -122,9 +121,9 @@ bool cache_cost(bool enforce) {
 }
 
 // Cold survivor prewarm: the current mask plus every single-GPU-down
-// subset (5 plans on a 4-GPU platform), built concurrently on the shared
-// pool. Reports wall clock cold and re-warm (everything cached) so the
-// cost of arming failover is visible per thread count.
+// subset (5 plans on a 4-GPU platform), built concurrently, one fork-join
+// lane per hardware thread. Reports wall clock cold and re-warm (everything
+// cached) so the cost of arming failover is visible.
 bool prewarm_cost(bool enforce, Json& doc) {
   bench::print_header("Survivor prewarm",
                       "PlanPool::prewarm: current + single-GPU-down plans, NASNet, 4 GPUs");
@@ -314,24 +313,18 @@ int main(int argc, char** argv) {
                  "and degraded-mode recovery");
   args.add_flag("smoke", "false", "fewer requests (CI regime)")
       .add_flag("assert", "false", "exit 1 when an acceptance gate fails")
-      .add_flag("json", "", "write the phase/throughput report as JSON to this path")
-      .add_flag("threads", "0",
-                "plan-prewarm pool lanes (0 = HIOS_NUM_THREADS, then hardware)");
+      .add_flag("json", "", "write the phase/throughput report as JSON to this path");
   bool smoke = false, enforce = false;
   std::string json_path;
-  int threads = 0;
   if (!parse_flags_or_exit(args, argc, argv, [&] {
         smoke = args.get_bool("smoke");
         enforce = args.get_bool("assert");
         json_path = args.get("json");
-        threads = static_cast<int>(args.get_int("threads"));
         bench::check_output_path("json", json_path);
       }))
     return 0;
-  util::set_global_threads(threads);
 
   Json doc = Json::object();
-  doc["threads"] = util::global_pool().num_threads();
   bool ok = throughput_scaling(smoke ? 64 : 256, enforce);
   ok = cache_cost(enforce) && ok;
   ok = prewarm_cost(enforce, doc) && ok;

@@ -52,10 +52,8 @@
 #include "runtime/engine.h"
 #include "runtime/failover.h"
 #include "sched/bounds.h"
-#include "sched/brute_force.h"
 #include "sched/evaluate.h"
 #include "sched/ios_intra.h"
-#include "sched/list_schedule.h"
 #include "sched/parallelize.h"
 #include "sched/residual.h"
 #include "sched/schedule.h"

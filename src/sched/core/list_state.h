@@ -14,9 +14,10 @@
 // pairs whose transfers cost the same; the same GPU is the class costing
 // 0) and node_time per (op, GPU), straight from the model. The
 // recomputation therefore executes the exact instruction sequence of
-// sched::list_schedule on the values the model returns, from identical
-// prefix state, so latencies are bit-identical to the from-scratch pass
-// (property-tested in tests/sched_core_test.cpp).
+// sched::list_schedule (a test oracle in tests/oracles/) on the values the
+// model returns, from identical prefix state, so latencies are
+// bit-identical to the from-scratch pass (property-tested in
+// tests/sched_core_test.cpp).
 #pragma once
 
 #include <vector>

@@ -1,6 +1,5 @@
 #include "sched/ios_intra.h"
 
-#include <chrono>
 #include <memory>
 
 #include "cost/remap_model.h"
@@ -12,11 +11,7 @@ namespace hios::sched {
 
 ScheduleResult ios_intra_pass(const graph::Graph& g, const Schedule& schedule,
                               const cost::CostModel& cost, const SchedulerConfig& config) {
-  const auto t0 = std::chrono::steady_clock::now();
-  // One stage-time cache across the base evaluation and every per-GPU
-  // candidate re-evaluation below.
-  const cost::StageTimeCache cached(cost);
-  auto base_eval = evaluate_schedule(g, schedule, cached);
+  auto base_eval = evaluate_schedule(g, schedule, cost);
   HIOS_CHECK(base_eval.has_value(), "ios_intra_pass: input schedule deadlocks");
 
   Schedule best = schedule;
@@ -61,7 +56,7 @@ ScheduleResult ios_intra_pass(const graph::Graph& g, const Schedule& schedule,
     // The local DP may have reordered ops in a way that deadlocks against
     // cross-GPU dependencies, or may simply be worse globally: keep only
     // strict improvements.
-    if (auto eval = evaluate_schedule(g, candidate, cached);
+    if (auto eval = evaluate_schedule(g, candidate, cost);
         eval.has_value() && eval->latency_ms < best_latency) {
       best = std::move(candidate);
       best_latency = eval->latency_ms;
@@ -71,9 +66,6 @@ ScheduleResult ios_intra_pass(const graph::Graph& g, const Schedule& schedule,
   ScheduleResult result;
   result.schedule = std::move(best);
   result.latency_ms = best_latency;
-  result.algorithm = "ios-intra";
-  result.scheduling_ms =
-      std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0).count();
   return result;
 }
 

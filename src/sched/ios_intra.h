@@ -18,7 +18,9 @@ namespace hios::sched {
 /// Re-partitions each GPU's ops into stages with the IOS DP, keeping the
 /// GPU mapping of `schedule` fixed. Falls back to the input stages for a
 /// GPU when the IOS result evaluates worse globally. The "hios-lp-iosintra"
-/// scheduler runs this pass after the Alg. 1 placement.
+/// scheduler runs this pass after the Alg. 1 placement, passing the run's
+/// stage-time cache as `cost`; the caller sets `algorithm` and
+/// `scheduling_ms` of the result.
 ScheduleResult ios_intra_pass(const graph::Graph& g, const Schedule& schedule,
                               const cost::CostModel& cost, const SchedulerConfig& config);
 

@@ -1,9 +1,7 @@
 #include "sched/parallelize.h"
 
-#include <optional>
-#include <utility>
+#include <vector>
 
-#include "cost/stage_cache.h"
 #include "sched/core/schedule_state.h"
 
 namespace hios::sched {
@@ -70,13 +68,6 @@ ParallelizeResult parallelize(const graph::CompiledGraph& cg, Schedule schedule,
   result.schedule = state.extract();
   result.latency_ms = latency;
   return result;
-}
-
-ParallelizeResult parallelize(const graph::Graph& g, Schedule schedule,
-                              const cost::CostModel& cost, int window) {
-  const graph::CompiledGraph cg(g);
-  const cost::StageTimeCache cached(cost);
-  return parallelize(cg, std::move(schedule), cached, window);
 }
 
 }  // namespace hios::sched

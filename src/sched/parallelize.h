@@ -24,9 +24,9 @@
 // protocol — no Schedule deep copies, no from-scratch re-evaluation, and
 // stage reachability is maintained incrementally across commits. A window
 // holding no stage of the committed state's critical path cannot lower the
-// latency and is skipped without being scored (exact; DESIGN.md §6d). Callers
-// that already hold a CompiledGraph (HIOS-LP / HIOS-MR) pass it in so the
-// priority order is computed once per schedule() call, not again here.
+// latency and is skipped without being scored (exact; DESIGN.md §6d). The
+// caller passes its CompiledGraph, so the priority order is computed once
+// per schedule() call, not again here.
 #pragma once
 
 #include "cost/cost_model.h"
@@ -50,11 +50,6 @@ struct ParallelizeResult {
 /// w < 2 is a no-op that just evaluates the input). `cost` is queried for
 /// repeated stage times — pass a cost::StageTimeCache to memoize them.
 ParallelizeResult parallelize(const graph::CompiledGraph& cg, Schedule schedule,
-                              const cost::CostModel& cost, int window);
-
-/// Convenience overload compiling `g` (and wrapping `cost` in a stage-time
-/// cache) internally. Prefer the CompiledGraph overload in scheduler code.
-ParallelizeResult parallelize(const graph::Graph& g, Schedule schedule,
                               const cost::CostModel& cost, int window);
 
 }  // namespace hios::sched

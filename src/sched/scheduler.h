@@ -42,7 +42,7 @@ struct ScheduleResult {
   double latency_ms = 0.0;     ///< evaluated latency under the cost model
   /// Wall-clock time of the whole schedule() call, measured from entry to
   /// return. Every scheduler searches on the calling thread alone, so the
-  /// global pool's size changes neither the work done nor the result;
+  /// global lane count changes neither the work done nor the result;
   /// scheduling_ms is the only field that varies between runs.
   double scheduling_ms = 0.0;
   std::string algorithm;

@@ -116,7 +116,10 @@ const GpuOutage* Dispatcher::victim_outage(const std::vector<int>& gpus, double 
 bool Dispatcher::breaker_sheds(Ticket& t) {
   const double arrival = t.request.arrival_ms;
   advance_health(arrival);
-  if (!options_.breaker || health_.all_up() || !std::isfinite(t.request.deadline_ms)) {
+  // With no GPU up there is no survivor plan to price; the attempt waits
+  // for the next probe and meets the deadline rule then.
+  if (!options_.breaker || health_.all_up() || health_.up_mask() == 0 ||
+      !std::isfinite(t.request.deadline_ms)) {
     return false;
   }
   auto plan = current_plan(t);
@@ -165,6 +168,14 @@ Dispatcher::Step Dispatcher::dispatch(Ticket& t) {
 // stream_contention_scale(k, ...) slower, frozen at dispatch.
 Dispatcher::Step Dispatcher::attempt(Ticket& t, int lane, double start) {
   advance_health(start);
+  if (health_.up_mask() == 0) {
+    // Every GPU is Down (a recovered GPU stays Down until its probe
+    // succeeds; ServerOptions::validate keeps one outside every outage, so
+    // a later probe brings it back). Wait for the next probe without
+    // spending a retry; the deadline rule applies when the attempt runs.
+    t.ready_ms = health_.next_probe_due_ms();
+    return Step::kRetry;
+  }
   Response& resp = t.response;
   const double arrival = t.request.arrival_ms;
   auto plan = current_plan(t);

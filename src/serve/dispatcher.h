@@ -46,7 +46,7 @@ class Dispatcher {
 
   enum class Step {
     kCommitted,  ///< completes in virtual time: the engine runs exec_plan
-    kRetry,      ///< failed; the next attempt may start at ready_ms
+    kRetry,      ///< failed, or no GPU is up; the next attempt may start at ready_ms
     kDone,       ///< terminal verdict without execution (drop or failure)
   };
 

@@ -54,11 +54,10 @@ void HealthTracker::refresh_mask() {
   }
 }
 
-void HealthTracker::transition(int gpu, HealthState to, double at_ms,
-                               FaultEvidence::Kind cause) {
+void HealthTracker::transition(int gpu, HealthState to, double at_ms) {
   Node& node = gpus_[static_cast<std::size_t>(gpu)];
   if (node.state == to) return;
-  transitions_.push_back(Transition{gpu, node.state, to, at_ms, cause});
+  transitions_.push_back(Transition{gpu, node.state, to, at_ms});
   node.state = to;
   refresh_mask();
 }
@@ -77,17 +76,17 @@ void HealthTracker::observe(const FaultEvidence& evidence) {
   switch (evidence.kind) {
     case FaultEvidence::Kind::kFailStop:
       if (node.state == HealthState::kDown) return;
-      transition(g, HealthState::kDown, evidence.at_ms, evidence.kind);
+      transition(g, HealthState::kDown, evidence.at_ms);
       node.backoff_ms = options_.probe_backoff_ms;
       schedule_probe(g, evidence.at_ms);
       break;
     case FaultEvidence::Kind::kProbeSuccess:
-      transition(g, HealthState::kHealthy, evidence.at_ms, evidence.kind);
+      transition(g, HealthState::kHealthy, evidence.at_ms);
       node.backoff_ms = 0.0;
       node.next_probe_ms = kInf;
       break;
     case FaultEvidence::Kind::kProbeFailure:
-      transition(g, HealthState::kDown, evidence.at_ms, evidence.kind);
+      transition(g, HealthState::kDown, evidence.at_ms);
       node.backoff_ms = std::min(node.backoff_ms * kProbeBackoffMultiplier,
                                  options_.probe_max_backoff_ms);
       if (node.backoff_ms <= 0.0) node.backoff_ms = options_.probe_backoff_ms;
@@ -108,7 +107,7 @@ std::vector<int> HealthTracker::take_due_probes(double now_ms) {
   std::vector<int> out;
   out.reserve(due.size());
   for (const auto& [at, g] : due) {
-    transition(g, HealthState::kProbing, at, FaultEvidence::Kind::kProbeFailure);
+    transition(g, HealthState::kProbing, at);
     out.push_back(g);
   }
   return out;

@@ -121,7 +121,6 @@ class HealthTracker {
     HealthState from = HealthState::kHealthy;
     HealthState to = HealthState::kHealthy;
     double at_ms = 0.0;
-    FaultEvidence::Kind cause = FaultEvidence::Kind::kFailStop;
   };
   const std::vector<Transition>& transitions() const { return transitions_; }
 
@@ -136,7 +135,7 @@ class HealthTracker {
     double backoff_ms = 0.0;  ///< current (pre-jitter) probe backoff
   };
 
-  void transition(int gpu, HealthState to, double at_ms, FaultEvidence::Kind cause);
+  void transition(int gpu, HealthState to, double at_ms);
   void schedule_probe(int gpu, double at_ms);
   void refresh_mask();
 

@@ -32,12 +32,12 @@ std::size_t PlanPool::prewarm(const ops::Model& model, uint32_t mask, uint64_t m
     if (current & (1u << g)) enqueue(current & ~(1u << g));
   }
   // After most health transitions every mask is already warm: then no
-  // parallel section is opened at all.
+  // thread is started at all.
   masks = cache_.cold_masks(model, algorithm_, config_, masks);
   if (masks.empty()) return 0;
 
   // The masks are distinct cache keys, so their cold builds are
-  // independent; run them on the shared pool. Repeat masks across
+  // independent; build them in parallel. Repeat masks across
   // concurrent prewarms coalesce inside the cache (single-flight), so no
   // schedule is computed twice.
   std::vector<char> cold(masks.size(), 0);

@@ -44,12 +44,12 @@ class PlanPool {
   /// Ensures warm plans for `mask` and every single-GPU-down subset of it
   /// (skipping subsets with no survivor). Warm masks are filtered out first
   /// by ScheduleCache::cold_masks, which moves no cache counter; the cold
-  /// ones are distinct cache keys, so their builds run concurrently on the
-  /// shared thread pool (util::global_pool()), which is not entered at all
-  /// when every mask is warm. Each build is one single-threaded schedule()
-  /// call. Returns how many cold builds this call performed (0 =
-  /// everything was already warm; a build coalesced with another caller's
-  /// in-flight build does not count).
+  /// ones are distinct cache keys, so their builds run concurrently through
+  /// util::global_pool().parallel_for, which starts no thread at all when
+  /// every mask is warm. Each build is one single-threaded schedule() call.
+  /// Returns how many cold builds this call performed (0 = everything was
+  /// already warm; a build coalesced with another caller's in-flight build
+  /// does not count).
   ///
   /// `must_be_zero` must be 0 (checked). It is kept only so that
   /// perfbench/src/serve_workloads.cpp, which calls prewarm(m, mask, 0),

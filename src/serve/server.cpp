@@ -9,6 +9,7 @@
 #include "runtime/failover.h"
 #include "serve/dispatcher.h"
 #include "util/error.h"
+#include "util/thread_pool.h"
 
 namespace hios::serve {
 
@@ -183,9 +184,9 @@ ServeReport Server::run_trace(const Trace& trace) {
   dispatcher.dispatch_all();
 
   // --- engine execution of the committed requests -----------------------
-  // Real worker pool fed by the bounded queue: the liveness/TSan surface.
-  // Results land in per-ticket slots, so thread interleaving cannot affect
-  // anything the report contains.
+  // One fork-join lane per stream slot: the liveness/TSan surface. Results
+  // land in per-ticket slots, so thread interleaving cannot affect anything
+  // the report contains.
   auto committed = [](const Ticket& t) { return t.response.verdict == Verdict::kCompleted; };
   std::vector<EngineOutcome> outcomes(tickets.size());
   if (options_.use_engine) {
@@ -193,21 +194,10 @@ ServeReport Server::run_trace(const Trace& trace) {
     for (std::size_t i = 0; i < tickets.size(); ++i) {
       if (committed(tickets[i])) work_items.push_back(i);
     }
-    BoundedQueue<std::size_t> work(options_.queue_capacity);
-    std::vector<std::thread> pool;
-    const int workers = std::min<int>(num_lanes(), static_cast<int>(work_items.size()));
-    pool.reserve(static_cast<std::size_t>(workers));
-    for (int w = 0; w < workers; ++w) {
-      pool.emplace_back([&] {
-        while (auto idx = work.pop()) {
-          const Ticket& t = tickets[*idx];
-          outcomes[*idx] = execute_plan(*t.model, *t.exec_plan);
-        }
-      });
-    }
-    for (std::size_t idx : work_items) work.push(std::size_t{idx});
-    work.close();
-    for (auto& t : pool) t.join();
+    util::ThreadPool(num_lanes()).parallel_for(work_items.size(), [&](std::size_t k) {
+      const Ticket& t = tickets[work_items[k]];
+      outcomes[work_items[k]] = execute_plan(*t.model, *t.exec_plan);
+    });
   }
 
   // --- assemble report + metrics in request-id order --------------------

@@ -25,7 +25,8 @@
 // (dispatcher.h), in virtual time, behind two thin drivers:
 //   * run_trace(trace) — deterministic: arrivals in (arrival, id) order,
 //     every verdict and metric bit-identical across reruns and thread
-//     counts; the committed requests then run on a real engine worker pool.
+//     counts; the committed requests then run on the engine, one
+//     parallel_for lane per stream slot.
 //   * start()/submit()/drain() — online: submit() applies the breaker and
 //     races the bounded queue from any thread; lanes take each dispatch
 //     decision under one mutex and run the engine outside it. Same policy

@@ -2,183 +2,61 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
-#include <memory>
-
-#include "util/error.h"
+#include <exception>
+#include <mutex>
+#include <thread>
+#include <vector>
 
 namespace hios::util {
 
-namespace {
-
-int resolve_num_threads(int requested) {
-  int n = requested;
-  if (n <= 0) {
-    if (const char* env = std::getenv("HIOS_NUM_THREADS")) {
-      n = std::atoi(env);
-    }
-  }
-  if (n <= 0) n = static_cast<int>(std::thread::hardware_concurrency());
-  if (n <= 0) n = 1;  // hardware_concurrency() may report 0
-  return std::min(n, ThreadPool::kMaxThreads);
+ThreadPool::ThreadPool(int num_threads) {
+  if (num_threads <= 0) num_threads = static_cast<int>(std::thread::hardware_concurrency());
+  num_threads_ = std::clamp(num_threads, 1, kMaxThreads);  // hardware_concurrency() may be 0
 }
 
-}  // namespace
-
-ThreadPool::ThreadPool(int num_threads) : num_threads_(resolve_num_threads(num_threads)) {
-  workers_.reserve(static_cast<std::size_t>(num_threads_ - 1));
-  for (int i = 1; i < num_threads_; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
-  }
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_ = true;
-  }
-  cv_.notify_all();
-  for (std::thread& w : workers_) w.join();
-}
-
-void ThreadPool::worker_loop() {
-  for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-      if (stop_ && queue_.empty()) return;
-      task = std::move(queue_.front());
-      queue_.pop_front();
-    }
-    task();
-  }
-}
-
-void ThreadPool::drain_queue() {
-  for (;;) {
-    std::function<void()> task;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (queue_.empty()) return;
-      task = std::move(queue_.front());
-      queue_.pop_front();
-    }
-    task();
-  }
-}
-
-void ThreadPool::for_chunks(std::size_t n,
-                            const std::function<void(int, std::size_t, std::size_t)>& body) {
-  if (n == 0) return;
-  const int chunks = num_chunks(n);
-  // Static partition: chunk c covers [c * n / chunks, (c + 1) * n / chunks).
-  // Purely arithmetic — identical for every run at a given (n, threads).
-  auto chunk_begin = [&](int c) {
-    return n * static_cast<std::size_t>(c) / static_cast<std::size_t>(chunks);
-  };
-  if (chunks <= 1) {
-    body(0, 0, n);
-    return;
-  }
-
-  // Completion state shared with the queued tasks. shared_ptr so a task
-  // finishing after an exceptional unwind of the caller cannot dangle.
-  struct Sync {
-    std::mutex m;
-    std::condition_variable cv;
-    int remaining = 0;
-    std::vector<std::exception_ptr> errors;  ///< per chunk; rethrown by index
-  };
-  auto sync = std::make_shared<Sync>();
-  sync->remaining = chunks - 1;
-  sync->errors.assign(static_cast<std::size_t>(chunks), nullptr);
-
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (int c = 1; c < chunks; ++c) {
-      const std::size_t begin = chunk_begin(c);
-      const std::size_t end = chunk_begin(c + 1);
-      queue_.emplace_back([&body, sync, c, begin, end] {
-        try {
-          body(c, begin, end);
-        } catch (...) {
-          sync->errors[static_cast<std::size_t>(c)] = std::current_exception();
+void ThreadPool::parallel_for(std::size_t n,
+                              const std::function<void(std::size_t)>& fn) const {
+  std::atomic<std::size_t> next{0};
+  std::mutex error_mu;
+  std::size_t first_failed = n;
+  std::exception_ptr error;
+  auto lane = [&] {
+    for (std::size_t i = next++; i < n; i = next++) {
+      try {
+        fn(i);
+      } catch (...) {
+        const std::lock_guard<std::mutex> lock(error_mu);
+        if (i < first_failed) {
+          first_failed = i;
+          error = std::current_exception();
         }
-        {
-          std::lock_guard<std::mutex> done(sync->m);
-          --sync->remaining;
-        }
-        sync->cv.notify_all();
-      });
+      }
+    }
+  };
+
+  const std::size_t lanes = std::min(n, static_cast<std::size_t>(num_threads_));
+  std::vector<std::thread> threads;
+  threads.reserve(lanes > 0 ? lanes - 1 : 0);
+  for (std::size_t t = 1; t < lanes; ++t) {
+    try {
+      threads.emplace_back(lane);
+    } catch (const std::exception&) {
+      break;  // no thread to spare: the lanes already started take the rest
     }
   }
-  cv_.notify_all();
-
-  try {
-    body(0, chunk_begin(0), chunk_begin(1));
-  } catch (...) {
-    sync->errors[0] = std::current_exception();
-  }
-
-  // Help protocol: run queued tasks (ours or anyone's — including nested
-  // sections spawned by our own chunks) until our job completes. Sleeping
-  // only with an empty queue keeps nested sections deadlock-free.
-  for (;;) {
-    bool done_now = false;
-    {
-      std::lock_guard<std::mutex> done(sync->m);
-      done_now = sync->remaining == 0;
-    }
-    if (done_now) break;
-    drain_queue();
-    std::unique_lock<std::mutex> done(sync->m);
-    if (sync->remaining == 0) break;
-    // Re-check the shared queue under its own lock before sleeping: a task
-    // enqueued between drain_queue() and here must not be slept past.
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (!queue_.empty()) continue;
-    }
-    sync->cv.wait(done);
-  }
-
-  // Deterministic propagation: the lowest-index chunk's exception wins,
-  // matching what the sequential left-to-right loop would have thrown first.
-  for (const std::exception_ptr& e : sync->errors) {
-    if (e) std::rethrow_exception(e);
-  }
+  lane();
+  for (std::thread& t : threads) t.join();
+  if (error) std::rethrow_exception(error);
 }
-
-namespace {
-
-std::mutex g_pool_mu;
-std::unique_ptr<ThreadPool> g_pool;          // guarded by g_pool_mu
-int g_requested_threads = 0;                 // last set_global_threads argument
-
-}  // namespace
 
 ThreadPool& global_pool() {
-  std::lock_guard<std::mutex> lock(g_pool_mu);
-  if (!g_pool) g_pool = std::make_unique<ThreadPool>(g_requested_threads);
-  return *g_pool;
+  static ThreadPool pool;
+  return pool;
 }
 
-void set_global_threads(int num_threads) {
-  std::unique_ptr<ThreadPool> old;
-  {
-    std::lock_guard<std::mutex> lock(g_pool_mu);
-    old = std::move(g_pool);  // join outside the lock
-    g_requested_threads = num_threads;
-    g_pool = std::make_unique<ThreadPool>(num_threads);
-  }
-}
+void set_global_threads(int num_threads) { global_pool() = ThreadPool(num_threads); }
 
-ScopedThreads::ScopedThreads(int num_threads) {
-  {
-    std::lock_guard<std::mutex> lock(g_pool_mu);
-    previous_ = g_requested_threads;
-  }
+ScopedThreads::ScopedThreads(int num_threads) : previous_(global_pool().num_threads()) {
   set_global_threads(num_threads);
 }
 

@@ -1,37 +1,18 @@
-// Deterministic shared thread pool for independent whole-plan builds.
-//
-// Its one production caller is serve::PlanPool::prewarm, which builds the
-// cold plans of several survivor masks at once; each build is an ordinary
-// single-threaded schedule() call (DESIGN.md §6g). Two rules keep results
-// independent of the lane count:
-//
-//   * Static chunking. for_chunks() splits [0, n) into at most
-//     num_threads() contiguous chunks, fixed by arithmetic on (n, threads)
-//     alone — never by which worker happens to be free. Chunk index c is
-//     stable, so per-chunk scratch binds to c, not to a thread id.
-//   * Index-ordered errors. When several chunks throw, the lowest-index
-//     chunk's exception is rethrown — the one the sequential left-to-right
-//     loop would have hit first.
-//
-// Blocking model: the calling thread executes chunk 0 itself, then helps
-// drain the shared task queue before sleeping, so a pool task that itself
-// calls for_chunks cannot deadlock: a waiting thread only sleeps when the
-// queue is empty, which means its remaining chunks are being executed by
-// live workers.
-//
-// num_threads() resolution: explicit constructor argument > 0, else the
-// HIOS_NUM_THREADS environment variable, else hardware_concurrency(); the
-// result is clamped to [1, kMaxThreads]. num_threads() == 1 runs every
-// section inline on the caller — zero dispatch overhead.
+// Fork-join parallel_for over a lane count, for independent jobs: the
+// cold plan builds of serve::PlanPool::prewarm (each one single-threaded
+// schedule() call, DESIGN.md §6g) and Server::run_trace's engine batch.
+// A ThreadPool owns no thread. Each parallel_for starts min(n, lanes) - 1
+// std::threads, runs the last lane on the caller and joins them all before
+// it returns; a nested call starts threads of its own. Lanes take indices
+// from one atomic counter, so jobs write to per-index slots. Every index
+// runs once even when some throw, and the lowest failing index's exception
+// is rethrown: the one a sequential loop would have hit first.
+// num_threads(): the constructor argument when > 0, else
+// hardware_concurrency(), clamped to [1, kMaxThreads].
 #pragma once
 
-#include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <functional>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 namespace hios::util {
 
@@ -39,61 +20,26 @@ class ThreadPool {
  public:
   static constexpr int kMaxThreads = 256;
 
-  /// num_threads <= 0: resolve from HIOS_NUM_THREADS, then
-  /// hardware_concurrency. The pool spawns num_threads() - 1 workers; the
-  /// caller of each parallel section is the remaining lane.
   explicit ThreadPool(int num_threads = 0);
-  ~ThreadPool();
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
 
   int num_threads() const { return num_threads_; }
-
-  /// Runs body(chunk, begin, end) over a static partition of [0, n) into
-  /// min(num_threads(), n) contiguous chunks. Blocks until every chunk
-  /// finished. The partition depends only on (n, num_threads()); chunk 0
-  /// runs on the calling thread.
-  void for_chunks(std::size_t n,
-                  const std::function<void(int, std::size_t, std::size_t)>& body);
-
-  /// fn(i) for every i in [0, n), statically chunked as above.
-  void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn) {
-    for_chunks(n, [&](int, std::size_t begin, std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i) fn(i);
-    });
-  }
-
-  /// Number of chunks for_chunks(n, ...) will use.
-  int num_chunks(std::size_t n) const {
-    return static_cast<int>(
-        std::min<std::size_t>(static_cast<std::size_t>(num_threads_), n));
-  }
+  /// fn(i) for every i in [0, n); see the file comment.
+  void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn) const;
 
  private:
-  void worker_loop();
-  /// Pops and runs queued tasks until the queue is empty (help protocol).
-  void drain_queue();
-
   int num_threads_ = 1;
-  std::vector<std::thread> workers_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::deque<std::function<void()>> queue_;
-  bool stop_ = false;
 };
 
-/// The process-wide pool (plan prewarm, tests, benchmarks).
-/// Lazily built on first use from HIOS_NUM_THREADS / hardware_concurrency.
+/// The lane count PlanPool::prewarm uses. It, set_global_threads and
+/// ScopedThreads stay only while perfbench/ compiles against them.
 ThreadPool& global_pool();
 
-/// Replaces the global pool with one of `num_threads` lanes (<= 0 re-reads
-/// the environment). Callers must ensure no parallel section is running;
-/// intended for process startup (bench_serve --threads) and tests.
+/// Sets the global lane count (<= 0: hardware_concurrency()); not while a
+/// parallel_for on it runs.
 void set_global_threads(int num_threads);
 
-/// RAII thread-count override for tests: sets on construction, restores
-/// the previous count on destruction.
+/// RAII override of the global lane count: sets it on construction and
+/// restores the previous one on destruction.
 class ScopedThreads {
  public:
   explicit ScopedThreads(int num_threads);

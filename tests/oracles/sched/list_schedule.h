@@ -7,6 +7,10 @@
 // lives on a different GPU). Unmapped predecessors are ignored, which is
 // what lets HIOS-LP score partial mappings while paths are still being
 // placed.
+//
+// Test oracle: schedule() scores trials with the incremental
+// sched::ListScheduleState (src/sched/core/list_state.h), which must agree
+// with this from-scratch pass bit for bit.
 #pragma once
 
 #include <vector>

@@ -6,7 +6,7 @@
 #include "models/examples.h"
 #include "models/random_dag.h"
 #include "sched/evaluate.h"
-#include "sched/parallelize.h"
+#include "sched/parallelize_graph.h"
 #include "sched/validate.h"
 
 namespace hios::sched {

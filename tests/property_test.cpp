@@ -8,7 +8,7 @@
 #include "graph/algorithms.h"
 #include "models/random_dag.h"
 #include "sched/evaluate.h"
-#include "sched/parallelize.h"
+#include "sched/parallelize_graph.h"
 #include "sched/scheduler.h"
 #include "sched/validate.h"
 #include "sim/event_sim.h"

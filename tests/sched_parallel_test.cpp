@@ -6,7 +6,7 @@
 // schedules (serialized form compared as strings), bit-identical latencies,
 // and the identical search work (distinct stage queries, candidates tried)
 // at 1, 2, 4, and 8 lanes. It also covers what stays concurrent: the
-// stage-time cache under several callers and the pool primitives behind
+// stage-time cache under several callers and the parallel_for behind
 // PlanPool::prewarm. Runs under TSan in CI (label: stress).
 #include <gtest/gtest.h>
 
@@ -21,7 +21,7 @@
 #include "cost/table_model.h"
 #include "core/experiment.h"
 #include "models/random_dag.h"
-#include "sched/parallelize.h"
+#include "sched/parallelize_graph.h"
 #include "sched/scheduler.h"
 #include "util/thread_pool.h"
 
@@ -224,49 +224,45 @@ TEST(SchedParallel, CountingModelExactUnderConcurrentCallers) {
   EXPECT_NEAR(counter.measured_ms(), total_ms, 1e-9 * total_ms);
 }
 
-// Pool primitives behind PlanPool::prewarm, at several lane counts: every
-// index runs exactly once, the static partition is a function of
-// (n, threads) alone, and the lowest-index chunk's exception is rethrown.
+// parallel_for behind PlanPool::prewarm and run_trace's engine batch, at
+// several lane counts: every index runs exactly once, also when some throw;
+// the lowest throwing index's exception surfaces; and a parallel_for inside
+// another completes.
 TEST(SchedParallel, PoolPrimitivesAreDeterministic) {
   for (int threads : {1, 2, 8}) {
     util::ScopedThreads scoped(threads);
-    util::ThreadPool& pool = util::global_pool();
+    const util::ThreadPool& pool = util::global_pool();
+    EXPECT_EQ(pool.num_threads(), threads);
     for (std::size_t n : {0u, 1u, 5u, 8u, 1000u}) {
       std::vector<std::atomic<int>> runs(n);
       pool.parallel_for(n, [&](std::size_t i) { ++runs[i]; });
       for (std::size_t i = 0; i < n; ++i)
         EXPECT_EQ(runs[i].load(), 1) << "threads=" << threads << " n=" << n << " i=" << i;
-
-      // Chunk c must cover [c*n/chunks, (c+1)*n/chunks), on every call.
-      const int chunks = pool.num_chunks(n);
-      EXPECT_EQ(chunks, static_cast<int>(std::min<std::size_t>(threads, n)));
-      for (int rep = 0; rep < 3; ++rep) {
-        std::vector<std::pair<std::size_t, std::size_t>> bounds(
-            static_cast<std::size_t>(chunks), {n + 1, n + 1});
-        pool.for_chunks(n, [&](int c, std::size_t begin, std::size_t end) {
-          bounds[static_cast<std::size_t>(c)] = {begin, end};
-        });
-        for (int c = 0; c < chunks; ++c) {
-          const auto cs = static_cast<std::size_t>(c);
-          const auto total = static_cast<std::size_t>(chunks);
-          EXPECT_EQ(bounds[cs].first, cs * n / total) << "threads=" << threads << " c=" << c;
-          EXPECT_EQ(bounds[cs].second, (cs + 1) * n / total)
-              << "threads=" << threads << " c=" << c;
-        }
-      }
     }
 
-    // Every chunk but the first throws; chunk 1's error must surface (with
-    // one lane there is a single chunk, which does not throw).
+    // Every third index from 7 on throws: index 7's error surfaces, and
+    // every index still ran once.
+    std::vector<std::atomic<int>> runs(64);
     std::string caught;
     try {
-      pool.for_chunks(64, [](int c, std::size_t, std::size_t) {
-        if (c > 0) throw std::runtime_error("chunk " + std::to_string(c));
+      pool.parallel_for(runs.size(), [&](std::size_t i) {
+        ++runs[i];
+        if (i >= 7 && i % 3 == 1) throw std::runtime_error("index " + std::to_string(i));
       });
     } catch (const std::runtime_error& e) {
       caught = e.what();
     }
-    EXPECT_EQ(caught, threads == 1 ? "" : "chunk 1") << "threads=" << threads;
+    EXPECT_EQ(caught, "index 7") << "threads=" << threads;
+    for (std::size_t i = 0; i < runs.size(); ++i)
+      EXPECT_EQ(runs[i].load(), 1) << "threads=" << threads << " i=" << i;
+
+    // Nested: each outer index runs an inner parallel_for of its own.
+    std::vector<std::atomic<int>> cells(4 * 16);
+    pool.parallel_for(4, [&](std::size_t outer) {
+      pool.parallel_for(16, [&](std::size_t inner) { ++cells[outer * 16 + inner]; });
+    });
+    for (std::size_t i = 0; i < cells.size(); ++i)
+      EXPECT_EQ(cells[i].load(), 1) << "threads=" << threads << " nested cell " << i;
   }
 }
 

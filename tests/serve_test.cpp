@@ -549,5 +549,60 @@ TEST(Server, RunTraceRefusesWhileOnlineLanesRun) {
   EXPECT_EQ(server.run_trace(trace).responses.at(0).verdict, Verdict::kCompleted);
 }
 
+// Regression (the shape of serve_digest seed 195): back-to-back outages on
+// the two GPUs of a 2-GPU server. GPU 0 is back when GPU 1 fails, but stays
+// Down until its probe succeeds, so for a while no GPU is up. run_trace
+// used to throw then (the plan pool was asked for survivor mask 0) and lost
+// the whole trace. Requests that arrive or retry meanwhile now wait for the
+// probe without spending a retry, through the breaker too.
+TEST(Server, BackToBackOutagesOnBothGpusWaitForTheProbe) {
+  ServerOptions opt = sim_options(2, 1);
+  opt.outages = {{.gpu = 0, .from_ms = 10.0, .to_ms = 20.0},
+                 {.gpu = 1, .from_ms = 20.0, .to_ms = 40.0}};
+  opt.health.probe_backoff_ms = 30.0;
+  opt.health.probe_max_backoff_ms = 30.0;
+  Trace trace;
+  for (int i = 0; i < 60; ++i) {
+    const double at = static_cast<double>(i);
+    trace.requests.push_back({i, "tiny", at, at + 1000.0});
+  }
+
+  Server server(opt);
+  server.register_model("tiny", tiny_model());
+  ServeReport report;
+  ASSERT_NO_THROW(report = server.run_trace(trace));
+  ASSERT_EQ(report.responses.size(), trace.requests.size());
+  EXPECT_TRUE(server.metrics().snapshot().conserved());
+
+  // Replay the transitions: when did both GPUs leave the serving set, and
+  // when did the first come back?
+  double all_down = -1.0, back_up = -1.0;
+  std::vector<bool> up(2, true);
+  for (const HealthTracker::Transition& t : server.health().transitions()) {
+    up[static_cast<std::size_t>(t.gpu)] = t.to == HealthState::kHealthy;
+    if (all_down < 0.0 && !up[0] && !up[1]) all_down = t.at_ms;
+    if (all_down >= 0.0 && back_up < 0.0 && (up[0] || up[1])) back_up = t.at_ms;
+  }
+  ASSERT_GE(all_down, 20.0) << "the trace must reach a state with no GPU up";
+  ASSERT_GT(back_up, all_down);
+
+  int waited = 0;
+  for (const Response& r : report.responses) {
+    EXPECT_NE(r.topo_mask, 0u) << "request " << r.id;
+    if (r.verdict == Verdict::kCompleted) {
+      EXPECT_FALSE(r.start_ms >= all_down && r.start_ms < back_up)
+          << "request " << r.id << " ran while no GPU was up";
+    }
+    const double arrival = trace.requests[static_cast<std::size_t>(r.id)].arrival_ms;
+    if (arrival > all_down && arrival < back_up) {
+      ++waited;
+      EXPECT_EQ(r.verdict, Verdict::kCompleted) << "request " << r.id;
+      EXPECT_EQ(r.attempts, 1) << "waiting for the probe spends no retry";
+      EXPECT_GE(r.start_ms, back_up) << "request " << r.id;
+    }
+  }
+  EXPECT_GT(waited, 0);
+}
+
 }  // namespace
 }  // namespace hios::serve
